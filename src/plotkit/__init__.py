@@ -31,7 +31,7 @@ from .families import (
     repetition,
     universe,
 )
-from .gf2 import Gf2Basis, enumeration_cap, in_span, rref, span_enumerate
+from .gf2 import Gf2Basis, code_basis, enumeration_cap, in_span, rref, span_enumerate
 from .invariants import (
     CodeSummary,
     is_linear,
@@ -64,6 +64,7 @@ __all__ = [
     "PlotkinReport",
     "Word",
     "build_family",
+    "code_basis",
     "code_from_words",
     "concat",
     "enumeration_cap",

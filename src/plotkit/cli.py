@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .codefile import (
     ParseError,
+    code_lines,
     format_basis_file,
     format_code_file,
     parse_code_file,
@@ -22,8 +23,8 @@ from .codefile import (
 )
 from .core import Code
 from .families import FamilySpec, KINDS, _splitmix64, build_family, random_code
-from .gf2 import enumeration_cap, rref, span_enumerate
-from .invariants import CodeSummary, kernel, summarize
+from .gf2 import code_basis, enumeration_cap, span_enumerate
+from .invariants import CodeSummary, dim, kernel, summarize
 from .oracle import BRUTE_KERNEL_MAX_N, kernel_bruteforce, span_bruteforce
 from .plotkin import CodeParams, PlotkinReport, plotkin_construct, verify_plotkin
 
@@ -82,23 +83,22 @@ def _cmd_plotkin(args: argparse.Namespace) -> int:
 def _cmd_kernel(args: argparse.Namespace) -> int:
     code = _load(args.file, args.gen)
     k = kernel(code)
-    dim = len(k).bit_length() - 1
-    lines = [f"# kernel n={k.n} dim={dim} M={len(k)}"]
+    lines = [f"# kernel n={k.n} dim={dim(k)} M={len(k)}"]
     if not code.contains_zero():
         lines.append("# note: input lacks the zero word; kernel is not a subcode")
-    lines.extend(str(w) for w in k.words)
+    lines.extend(code_lines(k))
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
 def _cmd_span(args: argparse.Namespace) -> int:
     code = _load(args.file, args.gen)
-    basis = rref(code.words)
+    basis = code_basis(code)
     text = format_basis_file(basis)
     if (1 << basis.dim) <= enumeration_cap():
         span = span_enumerate(basis)
         text += f"# enumeration M={len(span)}\n"
-        text += "".join(f"{w}\n" for w in span.words)
+        text += "".join(f"{line}\n" for line in code_lines(span))
     _emit(text, args.output)
     return 0
 
@@ -108,7 +108,7 @@ def _oracle_agrees(c1: Code, c2: Code, code: Code) -> tuple[bool, str]:
     for label, c in (("first input", c1), ("second input", c2), ("construction", code)):
         if c.n <= BRUTE_KERNEL_MAX_N and kernel(c) != kernel_bruteforce(c):
             return False, f"kernel mismatch against brute force on {label}"
-        if span_enumerate(rref(c.words)) != span_bruteforce(c):
+        if span_enumerate(code_basis(c)) != span_bruteforce(c):
             return False, f"span mismatch against closure on {label}"
     return True, ""
 
@@ -129,10 +129,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     c1 = _load(args.file_a, args.gen)
     c2 = _load(args.file_b, args.gen)
     report = verify_plotkin(c1, c2)
+    # Built once for the oracles and the bundle, and only when one needs it.
+    code = plotkin_construct(c1, c2) if args.oracle or not report.ok else None
 
     oracle_ok, oracle_msg = True, ""
     if args.oracle:
-        oracle_ok, oracle_msg = _oracle_agrees(c1, c2, plotkin_construct(c1, c2))
+        oracle_ok, oracle_msg = _oracle_agrees(c1, c2, code)
 
     if args.json:
         print(json.dumps(asdict(report)))
@@ -155,9 +157,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             label for field, label in _CLAUSES if not getattr(report, field)
         )
         print(f"verification failed: {failing}", file=sys.stderr)
-    bundle = _dump_bundle(
-        args.bundle_dir, c1, c2, plotkin_construct(c1, c2), report
-    )
+    bundle = _dump_bundle(args.bundle_dir, c1, c2, code, report)
     print(f"counterexample bundle written to {bundle}", file=sys.stderr)
     return 1
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 
 from .core import Code, Word
-from .gf2 import Gf2Basis, rref, span_enumerate
+from .gf2 import Gf2Basis, code_basis, span_enumerate
 
 
 class ParseError(ValueError):
@@ -22,49 +22,60 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-def _parse_rows(text: str) -> list[tuple[int, Word]]:
-    rows: list[tuple[int, Word]] = []
+def _parse_rows(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """Word length and (line number, bit pattern) of each codeword line."""
+    rows: list[tuple[int, int]] = []
     length: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        if set(line) - {"0", "1"}:
+        # int(line, 2) alone would also take "_", "+", "0b" and inner spaces.
+        if line.strip("01"):
             raise ParseError(f"illegal characters in {line!r}", line=lineno)
         if length is None:
             length = len(line)
+            Word(length, 0)  # checks 1 <= length <= MAX_LENGTH
         elif len(line) != length:
             raise ParseError(
                 f"row of length {len(line)} in a file of length-{length} rows",
                 line=lineno,
             )
-        rows.append((lineno, Word.from_string(line)))
-    if not rows:
+        rows.append((lineno, int(line, 2)))
+    if length is None:
         raise ParseError("no codeword lines found")
-    return rows
+    return length, rows
 
 
 def parse_code_file(text: str) -> Code:
     """Parse a code file; duplicates are dropped with a warning."""
-    rows = _parse_rows(text)
-    seen: set[Word] = set()
-    for lineno, w in rows:
-        if w in seen:
-            warnings.warn(f"duplicate codeword {w} at line {lineno}", stacklevel=2)
-        seen.add(w)
-    return Code(w for _, w in rows)
+    n, rows = _parse_rows(text)
+    seen: set[int] = set()
+    for lineno, bits in rows:
+        if bits in seen:
+            warnings.warn(
+                f"duplicate codeword {bits:0{n}b} at line {lineno}", stacklevel=2
+            )
+        seen.add(bits)
+    return Code._from_bits(n, seen)
 
 
 def parse_gen_file(text: str) -> Code:
     """Parse a generator file and materialize its row space."""
-    rows = _parse_rows(text)
-    return span_enumerate(rref([w for _, w in rows]))
+    n, rows = _parse_rows(text)
+    return span_enumerate(code_basis(Code._from_bits(n, (b for _, b in rows))))
+
+
+def code_lines(code: Code) -> list[str]:
+    """The codewords as bit strings, in the code's sorted order."""
+    fmt = f"0{code.n}b"
+    return [format(b, fmt) for b in code.bit_patterns]
 
 
 def format_code_file(code: Code) -> str:
     """Canonical text form of a code: header plus sorted codeword lines."""
     lines = [f"# code n={code.n} M={len(code)}"]
-    lines.extend(str(w) for w in code.words)
+    lines.extend(code_lines(code))
     return "\n".join(lines) + "\n"
 
 

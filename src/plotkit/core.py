@@ -94,9 +94,14 @@ class Code:
     Membership tests run on the packed bit patterns. Iteration and the
     `words` snapshot are deterministic: ascending bit patterns, i.e.
     lexicographic in the printed form.
+
+    `_rref` and `_kernel` cache the code's analyses: its RREF rows as
+    packed ints and, for a nonlinear code, its kernel. `gf2` and
+    `invariants` fill them on first use; a filled slot never changes, so a
+    code is row-reduced and kernel-scanned at most once.
     """
 
-    __slots__ = ("n", "_bits", "_patterns", "_words")
+    __slots__ = ("n", "_bits", "_patterns", "_words", "_rref", "_kernel")
 
     def __init__(self, words: Iterable[Word]):
         words = list(words)
@@ -110,6 +115,8 @@ class Code:
         self._bits = frozenset(w.bits for w in words)
         self._patterns = tuple(sorted(self._bits))
         self._words: tuple[Word, ...] | None = None
+        self._rref: tuple[int, ...] | None = None
+        self._kernel: Code | None = None
 
     @classmethod
     def _from_bits(cls, n: int, bits: Iterable[int]) -> Code:
@@ -121,6 +128,8 @@ class Code:
             raise ValueError("a code needs at least one word")
         self._patterns = tuple(sorted(self._bits))
         self._words = None
+        self._rref = None
+        self._kernel = None
         return self
 
     @property

@@ -57,18 +57,33 @@ class Gf2Basis:
         return len(self.rows)
 
 
-def _reduce_bits(patterns: Iterable[int]) -> list[int]:
-    """RREF of packed rows; returns rows sorted by decreasing value."""
-    rows: list[int] = []
+def _reduce_bits(patterns: Iterable[int], n: int) -> list[int]:
+    """RREF of packed length-n rows; returns rows sorted by decreasing value.
+
+    Each row is reduced against a pivot dict keyed by top bit, and the scan
+    stops once the rank reaches n: every later row is then in the span.
+    Back-substitution clears each pivot column from the rows above it,
+    which gives the canonical RREF of the span.
+    """
+    pivots: dict[int, int] = {}
     for v in patterns:
+        while v:
+            top = v.bit_length() - 1
+            row = pivots.get(top)
+            if row is None:
+                pivots[top] = v
+                break
+            v ^= row
+        if len(pivots) == n:
+            break
+    rows: list[int] = []
+    for top in sorted(pivots):
+        v = pivots[top]
         for r in rows:
             if (v >> (r.bit_length() - 1)) & 1:
                 v ^= r
-        if v:
-            top = v.bit_length() - 1
-            rows = [r ^ v if (r >> top) & 1 else r for r in rows]
-            rows.append(v)
-    rows.sort(reverse=True)
+        rows.append(v)
+    rows.reverse()
     return rows
 
 
@@ -86,8 +101,33 @@ def rref(words: Iterable[Word], n: int | None = None) -> Gf2Basis:
     for w in words:
         if w.length != n:
             raise ValueError(f"mixed word lengths: {n} and {w.length}")
-    rows = _reduce_bits(w.bits for w in words)
+    rows = _reduce_bits((w.bits for w in words), n)
     return Gf2Basis(n, tuple(Word(n, r) for r in rows))
+
+
+# A prime above any feasible code size, so i -> i * _STRIDE mod M permutes
+# the indices of an M-word code.
+_STRIDE = 2654435761
+
+
+def _code_rows(code: Code) -> tuple[int, ...]:
+    """RREF rows of the code's span as packed ints, reduced once per code.
+
+    Any order of the words gives the same RREF. In sorted order the words
+    with high pivots come late, so a full-rank code would not reach rank n
+    before about half of its words; the words are visited in stride order
+    instead, which reached it within a few dozen words on random codes.
+    """
+    if code._rref is None:
+        p, m = code.bit_patterns, len(code)
+        spread = (p[i * _STRIDE % m] for i in range(m))
+        code._rref = tuple(_reduce_bits(spread, code.n))
+    return code._rref
+
+
+def code_basis(code: Code) -> Gf2Basis:
+    """Canonical RREF basis of the span of a code; same as rref(code.words)."""
+    return Gf2Basis(code.n, tuple(Word(code.n, r) for r in _code_rows(code)))
 
 
 def in_span(basis: Gf2Basis, w: Word) -> bool:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import Code
-from .gf2 import _reduce_bits
+from .gf2 import _code_rows
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class CodeSummary:
 
 def rank(code: Code) -> int:
     """Dimension of the linear span of the code."""
-    return len(_reduce_bits(code.bit_patterns))
+    return len(_code_rows(code))
 
 
 def is_linear(code: Code) -> bool:
@@ -63,17 +63,7 @@ def min_distance(code: Code) -> int:
     return _min_pairwise(code.bit_patterns)
 
 
-def kernel(code: Code) -> Code:
-    """All x with code + x = code; a subspace of GF(2)^n, never empty.
-
-    Any such x satisfies x = (c0 + x) + c0 with c0 + x a codeword, so
-    candidates are restricted to code + c0 for a fixed codeword c0 instead
-    of scanning all of GF(2)^n. Each candidate is checked by membership
-    queries with early exit. A code that is itself linear is its own
-    kernel, which skips the scan entirely.
-    """
-    if is_linear(code):
-        return code
+def _kernel_scan(code: Code) -> Code:
     patterns = code.bit_patterns
     members = code._bits
     c0 = patterns[0]
@@ -85,12 +75,35 @@ def kernel(code: Code) -> Code:
     return Code._from_bits(code.n, kept)
 
 
+def kernel(code: Code) -> Code:
+    """All x with code + x = code; a subspace of GF(2)^n, never empty.
+
+    Any such x satisfies x = (c0 + x) + c0 with c0 + x a codeword, so
+    candidates are restricted to code + c0 for a fixed codeword c0 instead
+    of scanning all of GF(2)^n. Each candidate is checked by membership
+    queries with early exit. A code that is itself linear is its own
+    kernel, which skips the scan entirely; any other code is scanned once
+    and its kernel cached on it. A linear code is not stored in its own
+    slot, which would be a reference cycle.
+    """
+    if is_linear(code):
+        return code
+    if code._kernel is None:
+        code._kernel = _kernel_scan(code)
+    return code._kernel
+
+
+def dim(space: Code) -> int:
+    """log2 of the size of a subspace, such as a kernel."""
+    d = len(space).bit_length() - 1
+    if 1 << d != len(space):
+        raise ValueError(f"a set of {len(space)} words is not a subspace")
+    return d
+
+
 def kernel_dim(code: Code) -> int:
     """log2 of the kernel size (the kernel is a subspace)."""
-    k = kernel(code)
-    dim = len(k).bit_length() - 1
-    assert 1 << dim == len(k), "kernel is not a subspace"
-    return dim
+    return dim(kernel(code))
 
 
 def summarize(code: Code) -> CodeSummary:

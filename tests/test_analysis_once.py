@@ -1,0 +1,116 @@
+"""Each code is analysed once: row reductions and kernel scans are counted.
+
+The reduction helper and the kernel scan are wrapped with counters in every
+plotkit module that binds them, so the counts cover every call site.
+"""
+
+import sys
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import plotkit.gf2 as gf2
+import plotkit.invariants as invariants
+from plotkit.core import Code, Word
+from plotkit.families import parity, random_code, universe
+from plotkit.invariants import (
+    is_linear,
+    kernel,
+    kernel_dim,
+    min_distance,
+    rank,
+    summarize,
+)
+from plotkit.plotkin import plotkin_construct, verify_plotkin
+
+
+@pytest.fixture
+def work(monkeypatch):
+    counts = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, attr, key in (
+        (gf2, "_reduce_bits", "reductions"),
+        (invariants, "_kernel_scan", "kernel scans"),
+    ):
+        original = getattr(module, attr)
+        wrapper = counted(key, original)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("plotkit") and vars(mod).get(attr) is original:
+                monkeypatch.setattr(mod, attr, wrapper)
+    return counts
+
+
+def nonlinear_pair():
+    # 40 and 24 words are not powers of two, so neither input nor the
+    # 960-word construction is linear: each has a kernel to scan.
+    return (
+        random_code(9, 40, seed=101, include_zero=True),
+        random_code(9, 24, seed=102, include_zero=True),
+    )
+
+
+def test_verify_reduces_four_times_and_scans_three_kernels(work):
+    c1, c2 = nonlinear_pair()
+    assert verify_plotkin(c1, c2).all_checks_hold
+    # c1, c2, the constructed code and span_direct's generators
+    assert work["reductions"] == 4
+    # c1, c2 and the constructed code
+    assert work["kernel scans"] == 3
+
+
+def test_summaries_after_verify_do_no_new_work(work):
+    c1, c2 = nonlinear_pair()
+    verify_plotkin(c1, c2)
+    before = Counter(work)
+    summarize(c1)
+    summarize(c2)
+    assert work == before
+
+
+def test_repeated_analyses_of_one_code_reduce_and_scan_once(work):
+    c = plotkin_construct(*nonlinear_pair())
+    for _ in range(3):
+        rank(c), is_linear(c), kernel(c), kernel_dim(c), min_distance(c), summarize(c)
+    assert work == {"reductions": 1, "kernel scans": 1}
+
+
+def test_linear_code_is_reduced_once_and_never_scanned(work):
+    c = plotkin_construct(universe(6), parity(6))
+    for _ in range(3):
+        assert kernel(c) is c
+        summarize(c)
+    assert work == {"reductions": 1}
+    # the kernel of a linear code is the code itself, never a stored cycle
+    assert c._kernel is None
+
+
+@st.composite
+def codes(draw):
+    n = draw(st.integers(1, 7))
+    patterns = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=24))
+    return n, patterns
+
+
+def analyses(code: Code):
+    return rank(code), kernel(code), summarize(code)
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes())
+def test_cached_and_fresh_analyses_agree(case):
+    n, patterns = case
+    fresh = Code(Word(n, b) for b in patterns)
+    first = analyses(fresh)
+    # the same object, caches now filled
+    assert analyses(fresh) == first
+    # an equal code built separately, from the words in another order
+    assert analyses(Code(Word(n, b) for b in reversed(patterns))) == first

@@ -3,10 +3,20 @@
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from plotkit.core import Word, code_from_words, word_xor
 from plotkit.families import _splitmix64
-from plotkit.gf2 import Gf2Basis, enumeration_cap, in_span, rref, span_enumerate
+from plotkit.gf2 import (
+    Gf2Basis,
+    _reduce_bits,
+    code_basis,
+    enumeration_cap,
+    in_span,
+    rref,
+    span_enumerate,
+)
 
 
 def w(s):
@@ -78,6 +88,61 @@ class TestRref:
         for seed in range(8):
             words = random_words(seed + 90, count=5, n=7)
             assert brute_span(rref(words).rows) == brute_span(words)
+
+
+def reduce_bits_by_row_scan(patterns):
+    """The earlier reduction loop, kept as the reference for _reduce_bits."""
+    rows = []
+    for v in patterns:
+        for r in rows:
+            if (v >> (r.bit_length() - 1)) & 1:
+                v ^= r
+        if v:
+            top = v.bit_length() - 1
+            rows = [r ^ v if (r >> top) & 1 else r for r in rows]
+            rows.append(v)
+    rows.sort(reverse=True)
+    return rows
+
+
+@st.composite
+def rows_reaching_full_rank(draw):
+    """Rows of length n whose rank reaches n strictly before the last row."""
+    n = draw(st.integers(1, 12))
+    word = st.integers(0, (1 << n) - 1)
+    prefix = draw(st.lists(word, max_size=6))
+    units = draw(st.permutations([1 << i for i in range(n)]))
+    suffix = draw(st.lists(word, min_size=1, max_size=6))
+    return n, prefix + units + suffix
+
+
+class TestReduceBits:
+    @given(st.integers(1, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=20))
+    ))
+    def test_matches_row_scan(self, case):
+        n, rows = case
+        assert _reduce_bits(rows, n) == reduce_bits_by_row_scan(rows)
+
+    @given(rows_reaching_full_rank())
+    def test_matches_row_scan_past_full_rank(self, case):
+        n, rows = case
+        assert _reduce_bits(rows, n) == reduce_bits_by_row_scan(rows)
+        assert len(_reduce_bits(rows, n)) == n
+
+    def test_stops_at_full_rank(self):
+        def rows():
+            yield from (0b100, 0b110, 0b111)
+            raise AssertionError("read a row after the rank reached n")
+
+        assert _reduce_bits(rows(), 3) == [0b100, 0b010, 0b001]
+
+
+class TestCodeBasis:
+    def test_matches_rref_of_words(self):
+        for seed in range(10):
+            c = code_from_words(random_words(seed + 300, count=9, n=7))
+            assert code_basis(c) == rref(c.words)
 
 
 class TestBasisValidation:

@@ -7,8 +7,10 @@ import pytest
 from plotkit.core import Word, code_from_words, translate
 from plotkit.families import _splitmix64, parity, random_code, repetition
 from plotkit.gf2 import rref, span_enumerate
+import plotkit.invariants as invariants
 from plotkit.invariants import (
     CodeSummary,
+    dim,
     is_linear,
     kernel,
     kernel_dim,
@@ -130,6 +132,24 @@ class TestKernel:
     def test_full_scan_agreement_at_width_twelve(self):
         c = random_code(12, 20, seed=77, include_zero=True)
         assert kernel(c) == kernel_fullscan(c)
+
+
+class TestDim:
+    def test_powers_of_two(self):
+        assert dim(code("000")) == 0
+        assert dim(code("000", "011")) == 1
+        assert dim(parity(4)) == 3
+
+    def test_non_subspace_size_raises(self):
+        with pytest.raises(ValueError, match="not a subspace"):
+            dim(code("00", "01", "10"))
+
+    def test_kernel_dim_raises_on_a_broken_kernel(self, monkeypatch):
+        # no real kernel has 3 words; the check must not rely on assert,
+        # which python -O strips
+        monkeypatch.setattr(invariants, "kernel", lambda c: code("00", "01", "10"))
+        with pytest.raises(ValueError, match="3 words is not a subspace"):
+            kernel_dim(code("00", "11"))
 
 
 class TestIsLinear:
