@@ -26,7 +26,13 @@ from .families import FamilySpec, KINDS, _splitmix64, build_family, random_code
 from .gf2 import code_basis, enumeration_cap, span_enumerate
 from .invariants import CodeSummary, dim, kernel, summarize
 from .oracle import BRUTE_KERNEL_MAX_N, kernel_bruteforce, span_bruteforce
-from .plotkin import CodeParams, PlotkinReport, plotkin_construct, verify_plotkin
+from .plotkin import (
+    CodeParams,
+    PlotkinReport,
+    _verify,
+    plotkin_construct,
+    verify_plotkin,
+)
 
 _CLAUSES = (
     ("theorem_i_holds", "kernel factorization"),
@@ -128,9 +134,9 @@ def _dump_bundle(
 def _cmd_verify(args: argparse.Namespace) -> int:
     c1 = _load(args.file_a, args.gen)
     c2 = _load(args.file_b, args.gen)
-    report = verify_plotkin(c1, c2)
-    # Built once for the oracles and the bundle, and only when one needs it.
-    code = plotkin_construct(c1, c2) if args.oracle or not report.ok else None
+    # Built and analysed once, for the report, the oracles and the bundle.
+    code = plotkin_construct(c1, c2)
+    report = _verify(c1, c2, code)
 
     oracle_ok, oracle_msg = True, ""
     if args.oracle:

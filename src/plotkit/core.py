@@ -9,6 +9,11 @@ from typing import Iterable, Iterator
 MAX_LENGTH = 4096
 
 
+def _check_length(n: int) -> None:
+    if not 1 <= n <= MAX_LENGTH:
+        raise ValueError(f"word length must be in 1..{MAX_LENGTH}, got {n}")
+
+
 @dataclass(frozen=True, order=True, repr=False)
 class Word:
     """Fixed-length bit vector over GF(2).
@@ -23,10 +28,7 @@ class Word:
     bits: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.length <= MAX_LENGTH:
-            raise ValueError(
-                f"word length must be in 1..{MAX_LENGTH}, got {self.length}"
-            )
+        _check_length(self.length)
         if not 0 <= self.bits < (1 << self.length):
             raise ValueError(
                 f"bit pattern {self.bits:#x} does not fit in {self.length} bits"
@@ -120,7 +122,9 @@ class Code:
 
     @classmethod
     def _from_bits(cls, n: int, bits: Iterable[int]) -> Code:
-        # Internal fast path: patterns assumed already in 0..2^n-1.
+        # Internal fast path: patterns assumed already in 0..2^n-1; only the
+        # length is checked, as Word checks it.
+        _check_length(n)
         self = object.__new__(cls)
         self.n = n
         self._bits = frozenset(bits)

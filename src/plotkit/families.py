@@ -7,7 +7,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .core import Code, Word
-from .gf2 import ENUM_CAP_ENV, enumeration_cap, rref, span_enumerate
+from .gf2 import check_enumeration, rref, span_enumerate
 from .plotkin import plotkin_construct
 
 KINDS = ("repetition", "universe", "parity", "reed_muller", "from_generator", "random")
@@ -52,12 +52,7 @@ def universe(n: int) -> Code:
     """All 2^n words: the [n, n, 1] full space."""
     if n < 1:
         raise ValueError(f"length must be positive, got {n}")
-    cap = enumeration_cap()
-    if (1 << n) > cap:
-        raise ValueError(
-            f"universe({n}) has {1 << n} words, over the enumeration cap "
-            f"of {cap} (set {ENUM_CAP_ENV} to raise it)"
-        )
+    check_enumeration(1 << n, f"universe({n})")
     return Code._from_bits(n, range(1 << n))
 
 
@@ -67,12 +62,7 @@ def parity(n: int) -> Code:
         raise ValueError(f"length must be positive, got {n}")
     if n == 1:
         return Code._from_bits(1, (0,))
-    cap = enumeration_cap()
-    if (1 << (n - 1)) > cap:
-        raise ValueError(
-            f"parity({n}) has {1 << (n - 1)} words, over the enumeration cap "
-            f"of {cap} (set {ENUM_CAP_ENV} to raise it)"
-        )
+    check_enumeration(1 << (n - 1), f"parity({n})")
     return Code._from_bits(
         n, ((p << 1) | (p.bit_count() & 1) for p in range(1 << (n - 1)))
     )

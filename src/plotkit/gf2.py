@@ -25,6 +25,20 @@ def enumeration_cap() -> int:
     return cap
 
 
+def check_enumeration(words: int, what: str) -> None:
+    """Refuse, before allocating, to materialize more than the cap in words.
+
+    `words` is the predicted size of what is about to be built and `what`
+    names it in the error.
+    """
+    cap = enumeration_cap()
+    if words > cap:
+        raise ValueError(
+            f"{what} has {words} words, over the enumeration cap "
+            f"of {cap} (set {ENUM_CAP_ENV} to raise it)"
+        )
+
+
 @dataclass(frozen=True)
 class Gf2Basis:
     """Canonical RREF basis of a subspace of GF(2)^n.
@@ -147,12 +161,7 @@ def span_enumerate(basis: Gf2Basis) -> Code:
     The result has exactly 2^dim words, always including zero. Refuses
     spans larger than enumeration_cap().
     """
-    cap = enumeration_cap()
-    if (1 << basis.dim) > cap:
-        raise ValueError(
-            f"span of dimension {basis.dim} has {1 << basis.dim} words, "
-            f"over the enumeration cap of {cap} (set {ENUM_CAP_ENV} to raise it)"
-        )
+    check_enumeration(1 << basis.dim, f"span of dimension {basis.dim}")
     acc = [0]
     for row in basis.rows:
         r = row.bits

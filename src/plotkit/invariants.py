@@ -67,24 +67,49 @@ def _kernel_scan(code: Code) -> Code:
     patterns = code.bit_patterns
     members = code._bits
     c0 = patterns[0]
-    kept = []
-    for b in patterns:
-        x = b ^ c0
-        if all((c ^ x) in members for c in patterns):
-            kept.append(x)
-    return Code._from_bits(code.n, kept)
+    # Candidate x = b ^ c0 is kept as its codeword b: the survivors are
+    # existing patterns, never a second full-size set. Every pass keeps
+    # c0 (x = 0) first and the order ascending, so survivors[1] is the
+    # smallest candidate left: on a linear code plus one high word, a
+    # linear word, whose witness (the extra word) filters out the rest.
+    survivors = patterns
+    span = [0]
+    while len(survivors) > 1:
+        x = survivors[1] ^ c0
+        witness = next((c for c in patterns if c ^ x not in members), None)
+        if witness is None:
+            new = [s ^ x for s in span]
+            span += new
+            found = set(new)
+            survivors = [b for b in survivors if b ^ c0 not in found]
+        else:
+            z = c0 ^ witness
+            survivors = [b for b in survivors if b ^ z in members]
+    return Code._from_bits(code.n, span)
 
 
 def kernel(code: Code) -> Code:
     """All x with code + x = code; a subspace of GF(2)^n, never empty.
 
-    Any such x satisfies x = (c0 + x) + c0 with c0 + x a codeword, so
-    candidates are restricted to code + c0 for a fixed codeword c0 instead
-    of scanning all of GF(2)^n. Each candidate is checked by membership
-    queries with early exit. A code that is itself linear is its own
-    kernel, which skips the scan entirely; any other code is scanned once
-    and its kernel cached on it. A linear code is not stored in its own
-    slot, which would be a reference cycle.
+    Any such x satisfies x = (c0 + x) + c0 with c0 + x a codeword, so the
+    candidates are code + c0 for a fixed codeword c0, and the kernel is
+    their intersection with every other translate code + c. One surviving
+    candidate is probed against the codewords at a time:
+
+    - a codeword w with w + x outside the code refutes x, and every
+      survivor x' is then filtered against that same witness in one pass
+      (x' + w must be a codeword);
+    - a candidate with no witness is in the kernel, so the span of the
+      kernel words found so far doubles with it and its new members leave
+      the survivors unprobed: the kernel is closed under addition.
+
+    Only dim(kernel) candidates are probed in full. Every word reported is
+    a fully probed word or a sum of them, and every word left out has an
+    explicit witness, so the result is exact and measured from the code
+    alone. A code that is itself linear is its own kernel, which skips the
+    scan entirely; any other code is scanned once and its kernel cached on
+    it. A linear code is not stored in its own slot, which would be a
+    reference cycle.
     """
     if is_linear(code):
         return code

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Code, Word, concat
-from .gf2 import Gf2Basis, code_basis, rref
+from .gf2 import Gf2Basis, check_enumeration, code_basis, rref
 from .invariants import CodeSummary, dim, kernel, min_distance, summarize
 
 
@@ -67,10 +67,14 @@ def plotkin_construct(c1: Code, c2: Code) -> Code:
     """Build {(u|u+v) : u in c1, v in c2}; length doubles, sizes multiply.
 
     The map (u, v) -> (u|u+v) is injective (the left half recovers u, the
-    right half then recovers v), so the result has exactly |c1|*|c2| words.
+    right half then recovers v), so the result has exactly |c1|*|c2| words;
+    that count is checked against the enumeration cap before any is built.
     """
     if c1.n != c2.n:
         raise ValueError(f"length mismatch: {c1.n} != {c2.n}")
+    check_enumeration(
+        len(c1) * len(c2), f"(u|u+v) of {len(c1)}- and {len(c2)}-word codes"
+    )
     n = c1.n
     out = []
     for u in c1.bit_patterns:
@@ -128,13 +132,20 @@ def verify_plotkin(c1: Code, c2: Code) -> PlotkinReport:
     """Construct the code and compare direct vs. measured kernel and span.
 
     The left side of every comparison is computed on the constructed code
-    alone (definitional kernel scan, row reduction, pairwise distance);
-    the right side is assembled from the inputs. Nothing is assumed. Each
-    code's basis and kernel are computed once and cached on it, so the
-    summaries of the inputs reuse what the comparisons measured.
+    alone (kernel scan, row reduction, pairwise distance); the right side
+    is assembled from the inputs. Nothing is assumed. Each code's basis
+    and kernel are computed once and cached on it, so the summaries of the
+    inputs reuse what the comparisons measured.
     """
-    code = plotkin_construct(c1, c2)
+    return _verify(c1, c2, plotkin_construct(c1, c2))
 
+
+def _verify(c1: Code, c2: Code, code: Code) -> PlotkinReport:
+    """verify_plotkin on a constructed code the caller already built.
+
+    `code` must be plotkin_construct(c1, c2); a caller that needs the code
+    too passes it in, so it is built and analysed only once.
+    """
     k1, k2 = kernel(c1), kernel(c2)
     k_measured = kernel(code)
     theorem_i = k_measured == kernel_direct(k1, k2)

@@ -26,6 +26,7 @@ from plotkit.invariants import is_linear, kernel, min_distance, rank, summarize
 from plotkit.oracle import kernel_bruteforce, span_bruteforce
 from plotkit.plotkin import (
     CodeParams,
+    _verify,
     kernel_direct,
     plotkin_construct,
     span_direct,
@@ -241,10 +242,10 @@ def test_criterion_8_cli_contract(theorem_corpus, tmp_path, monkeypatch):
     exit_ok &= cli_main(["verify", str(a)]) == 2
     exit_ok &= cli_main(["verify", str(a), "missing.code"]) == 2
 
-    def doctored(c1, c2):
-        return replace(verify_plotkin(c1, c2), corollary_ii_holds=False)
+    def doctored(c1, c2, built):
+        return replace(_verify(c1, c2, built), corollary_ii_holds=False)
 
-    monkeypatch.setattr(cli, "verify_plotkin", doctored)
+    monkeypatch.setattr(cli, "_verify", doctored)
     exit_ok &= (
         cli_main(
             ["verify", str(a), str(b), "--bundle-dir", str(tmp_path / "bundle")]

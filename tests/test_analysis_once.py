@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 import plotkit.gf2 as gf2
 import plotkit.invariants as invariants
+from plotkit.cli import cli_main
+from plotkit.codefile import format_code_file
 from plotkit.core import Code, Word
 from plotkit.families import parity, random_code, universe
 from plotkit.invariants import (
@@ -65,6 +67,18 @@ def test_verify_reduces_four_times_and_scans_three_kernels(work):
     assert work["reductions"] == 4
     # c1, c2 and the constructed code
     assert work["kernel scans"] == 3
+
+
+@pytest.mark.parametrize("flags", [[], ["--oracle"]])
+def test_cli_verify_analyses_the_constructed_code_once(work, tmp_path, flags):
+    # small enough for the closure oracle; 12 * 6 = 72 words, nonlinear
+    paths = []
+    for name, m, seed in (("a.code", 12, 103), ("b.code", 6, 104)):
+        path = tmp_path / name
+        path.write_text(format_code_file(random_code(5, m, seed, include_zero=True)))
+        paths.append(str(path))
+    assert cli_main(["verify", *flags, *paths]) == 0
+    assert work == {"reductions": 4, "kernel scans": 3}
 
 
 def test_summaries_after_verify_do_no_new_work(work):

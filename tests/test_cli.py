@@ -10,7 +10,7 @@ from plotkit.cli import cli_main
 from plotkit.codefile import format_code_file, parse_code_file
 from plotkit.core import Word, code_from_words
 from plotkit.families import random_code
-from plotkit.plotkin import PlotkinReport, verify_plotkin
+from plotkit.plotkin import PlotkinReport, _verify, verify_plotkin
 
 
 def w(s):
@@ -139,10 +139,10 @@ class TestVerify:
     ):
         # the factorization laws cannot be made to fail with real inputs,
         # so fake a failing report to exercise the failure path
-        def doctored(c1, c2):
-            return replace(verify_plotkin(c1, c2), theorem_i_holds=False)
+        def doctored(c1, c2, built):
+            return replace(_verify(c1, c2, built), theorem_i_holds=False)
 
-        monkeypatch.setattr(cli, "verify_plotkin", doctored)
+        monkeypatch.setattr(cli, "_verify", doctored)
         a = files("a.code", code("00", "01", "10"))
         b = files("b.code", code("00", "11"))
         bundle = tmp_path / "bundle"
@@ -153,6 +153,17 @@ class TestVerify:
         assert (bundle / "constructed.code").exists()
         report = json.loads((bundle / "report.json").read_text())
         assert report["theorem_i_holds"] is False
+
+
+class TestFamily:
+    def test_reed_muller_over_the_cap_exits_two_without_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("PLOTKIN_MAX_ENUM", "4096")
+        out = tmp_path / "rm.code"
+        assert cli_main(["family", "reed_muller", "3", "8", "-o", str(out)]) == 2
+        assert "over the enumeration cap of 4096" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCorpus:

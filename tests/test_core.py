@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plotkit.core import (
+    MAX_LENGTH,
     Code,
     Word,
     code_from_words,
@@ -171,6 +172,17 @@ class TestCode:
         assert code("01", "10") == code("10", "01")
         assert code("01") != code("10")
         assert hash(code("01", "10")) == hash(code("10", "01"))
+
+    def test_length_checked_on_the_packed_path(self, monkeypatch):
+        from plotkit import core as core_module
+
+        for n in (0, MAX_LENGTH + 1):
+            with pytest.raises(ValueError, match=f"1..{MAX_LENGTH}, got {n}"):
+                Code._from_bits(n, [0])
+        monkeypatch.setattr(core_module, "MAX_LENGTH", 8)
+        with pytest.raises(ValueError):
+            Code._from_bits(9, [0])
+        assert Code._from_bits(8, [0]) == code_from_words([Word.zero(8)])
 
     def test_same_patterns_different_length_differ(self):
         a = code_from_words([Word.zero(2)])

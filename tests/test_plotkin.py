@@ -2,7 +2,7 @@
 
 import pytest
 
-from plotkit.core import Word, code_from_words, translate
+from plotkit.core import MAX_LENGTH, Code, Word, code_from_words, translate
 from plotkit.families import _splitmix64, random_code, repetition, universe
 from plotkit.gf2 import Gf2Basis, rref, span_enumerate
 from plotkit.invariants import is_linear, kernel, min_distance, rank, summarize
@@ -65,6 +65,19 @@ class TestConstruct:
     def test_cardinality_multiplies_even_without_zero(self):
         for c1, c2 in seeded_pairs(0xA0, 30, force_zero=False):
             assert len(plotkin_construct(c1, c2)) == len(c1) * len(c2)
+
+    def test_refuses_over_the_cap_before_building(self, monkeypatch):
+        monkeypatch.setenv("PLOTKIN_MAX_ENUM", "100")
+        c1 = random_code(6, 11, seed=1, include_zero=True)
+        c2 = random_code(6, 10, seed=2, include_zero=True)
+        with pytest.raises(ValueError, match="110 words, over the enumeration cap of 100"):
+            plotkin_construct(c1, c2)
+        assert len(plotkin_construct(c1, random_code(6, 9, seed=2))) == 99
+
+    def test_refuses_a_length_over_the_word_limit(self):
+        half = Code._from_bits(MAX_LENGTH // 2 + 1, [0])
+        with pytest.raises(ValueError, match=f"word length must be in 1..{MAX_LENGTH}"):
+            plotkin_construct(half, half)
 
 
 class TestKernelDirect:
