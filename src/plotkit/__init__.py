@@ -22,7 +22,6 @@ from .core import (
     word_xor,
 )
 from .families import (
-    FamilySpec,
     build_family,
     from_generator,
     parity,
@@ -58,7 +57,6 @@ __all__ = [
     "Code",
     "CodeParams",
     "CodeSummary",
-    "FamilySpec",
     "Gf2Basis",
     "ParseError",
     "PlotkinReport",

@@ -21,8 +21,8 @@ from .codefile import (
     parse_code_file,
     parse_gen_file,
 )
-from .core import Code
-from .families import FamilySpec, KINDS, _splitmix64, build_family, random_code
+from .core import MAX_LENGTH, Code
+from .families import KINDS, _splitmix64, build_family, random_code
 from .gf2 import code_basis, enumeration_cap, span_enumerate
 from .invariants import CodeSummary, dim, kernel, summarize
 from .oracle import BRUTE_KERNEL_MAX_N, kernel_bruteforce, span_bruteforce
@@ -169,7 +169,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    code = build_family(FamilySpec(kind=args.kind, args=tuple(args.params)))
+    code = build_family(args.kind, tuple(args.params))
     _emit(format_code_file(code), args.output)
     return 0
 
@@ -183,6 +183,8 @@ def _cmd_random(args: argparse.Namespace) -> int:
 def _cmd_corpus(args: argparse.Namespace) -> int:
     if args.max_n < 2:
         raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
+    if args.max_n > MAX_LENGTH:
+        raise ValueError(f"--max-n must be at most {MAX_LENGTH}, got {args.max_n}")
     stream = _splitmix64(args.seed)
     failures = 0
     if not args.json:
@@ -190,7 +192,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
               f"{'ker':<5}{'span':<5}{'dims':<5}{'rank':<5}{'par':<5}ok")
     for i in range(1, args.pairs + 1):
         n = 2 + next(stream) % (args.max_n - 1)
-        bound = min(1 << n, 32)
+        bound = 1 << min(n, 5)
         m1 = 1 + next(stream) % bound
         m2 = 1 + next(stream) % bound
         c1 = random_code(n, m1, seed=next(stream), include_zero=True)

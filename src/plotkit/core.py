@@ -94,8 +94,8 @@ class Code:
     """Immutable set of distinct equal-length words.
 
     Membership tests run on the packed bit patterns. Iteration and the
-    `words` snapshot are deterministic: ascending bit patterns, i.e.
-    lexicographic in the printed form.
+    `words` tuple, which is built on each call, are deterministic:
+    ascending bit patterns, i.e. lexicographic in the printed form.
 
     `_rref` and `_kernel` cache the code's analyses: its RREF rows as
     packed ints and, for a nonlinear code, its kernel. `gf2` and
@@ -103,22 +103,15 @@ class Code:
     code is row-reduced and kernel-scanned at most once.
     """
 
-    __slots__ = ("n", "_bits", "_patterns", "_words", "_rref", "_kernel")
+    __slots__ = ("n", "_bits", "_patterns", "_rref", "_kernel")
 
     def __init__(self, words: Iterable[Word]):
         words = list(words)
-        if not words:
-            raise ValueError("a code needs at least one word")
-        n = words[0].length
+        n = words[0].length if words else 0  # _init refuses an empty code
         for w in words[1:]:
             if w.length != n:
                 raise ValueError(f"mixed word lengths: {n} and {w.length}")
-        self.n = n
-        self._bits = frozenset(w.bits for w in words)
-        self._patterns = tuple(sorted(self._bits))
-        self._words: tuple[Word, ...] | None = None
-        self._rref: tuple[int, ...] | None = None
-        self._kernel: Code | None = None
+        self._init(n, (w.bits for w in words))
 
     @classmethod
     def _from_bits(cls, n: int, bits: Iterable[int]) -> Code:
@@ -126,21 +119,21 @@ class Code:
         # length is checked, as Word checks it.
         _check_length(n)
         self = object.__new__(cls)
+        self._init(n, bits)
+        return self
+
+    def _init(self, n: int, bits: Iterable[int]) -> None:
         self.n = n
         self._bits = frozenset(bits)
         if not self._bits:
             raise ValueError("a code needs at least one word")
         self._patterns = tuple(sorted(self._bits))
-        self._words = None
-        self._rref = None
-        self._kernel = None
-        return self
+        self._rref: tuple[int, ...] | None = None
+        self._kernel: Code | None = None
 
     @property
     def words(self) -> tuple[Word, ...]:
-        if self._words is None:
-            self._words = tuple(Word(self.n, b) for b in self._patterns)
-        return self._words
+        return tuple(Word(self.n, b) for b in self._patterns)
 
     @property
     def bit_patterns(self) -> tuple[int, ...]:

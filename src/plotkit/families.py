@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
+from . import core
 from .core import Code, Word
 from .gf2 import check_enumeration, rref, span_enumerate
 from .plotkin import plotkin_construct
@@ -43,23 +43,20 @@ def _draw_bits(stream: Iterator[int], n: int) -> int:
 
 def repetition(n: int) -> Code:
     """{0^n, 1^n}: the [n, 1, n] repetition code."""
-    if n < 1:
-        raise ValueError(f"length must be positive, got {n}")
+    core._check_length(n)
     return Code._from_bits(n, (0, (1 << n) - 1))
 
 
 def universe(n: int) -> Code:
     """All 2^n words: the [n, n, 1] full space."""
-    if n < 1:
-        raise ValueError(f"length must be positive, got {n}")
+    core._check_length(n)
     check_enumeration(1 << n, f"universe({n})")
     return Code._from_bits(n, range(1 << n))
 
 
 def parity(n: int) -> Code:
     """Even-weight words: the [n, n-1, 2] code; {0} for n = 1."""
-    if n < 1:
-        raise ValueError(f"length must be positive, got {n}")
+    core._check_length(n)
     if n == 1:
         return Code._from_bits(1, (0,))
     check_enumeration(1 << (n - 1), f"parity({n})")
@@ -78,6 +75,8 @@ def reed_muller(r: int, m: int) -> Code:
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
+    if m >= core.MAX_LENGTH.bit_length():  # 2^m > MAX_LENGTH, without 1 << m
+        raise ValueError(f"word length must be in 1..{core.MAX_LENGTH}, got 2^{m}")
     if not 0 <= r <= m:
         raise ValueError(f"order r must satisfy 0 <= r <= m, got r={r}, m={m}")
     if r == 0:
@@ -97,10 +96,9 @@ def random_code(n: int, M: int, seed: int, include_zero: bool = False) -> Code:
 
     The zero word is a member iff include_zero is set, so M can reach 2^n
     only with it and 2^n - 1 without. Same (n, M, seed, include_zero),
-    same code.
+    same code. M is checked against the enumeration cap before drawing.
     """
-    if n < 1:
-        raise ValueError(f"length must be positive, got {n}")
+    core._check_length(n)
     space = 1 << n
     limit = space if include_zero else space - 1
     if not 1 <= M <= limit:
@@ -108,6 +106,7 @@ def random_code(n: int, M: int, seed: int, include_zero: bool = False) -> Code:
             f"cardinality must be in 1..{limit} for n={n}"
             f"{'' if include_zero else ' without the zero word'}, got {M}"
         )
+    check_enumeration(M, f"random code of length {n}")
     stream = _splitmix64(seed)
     chosen: set[int] = {0} if include_zero else set()
     want = M if include_zero else M + 1  # count the excluded zero once
@@ -132,22 +131,13 @@ def random_code(n: int, M: int, seed: int, include_zero: bool = False) -> Code:
     return Code._from_bits(n, chosen)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family kind plus its raw arguments, as they arrive from the CLI.
+def build_family(kind: str, args: tuple[str, ...]) -> Code:
+    """Materialize a family from its kind and raw CLI arguments.
 
     Numeric kinds take integers: repetition/universe/parity (n),
     reed_muller (r, m), random (n, M, seed[, include_zero as 0/1]).
-    from_generator takes bit-row strings.
+    from_generator takes bit-row strings. Argument errors raise ValueError.
     """
-
-    kind: str
-    args: tuple[str, ...]
-
-
-def build_family(spec: FamilySpec) -> Code:
-    """Materialize a FamilySpec; argument errors raise ValueError."""
-    kind, args = spec.kind, spec.args
     if kind not in KINDS:
         raise ValueError(f"unknown family kind {kind!r}; expected one of {KINDS}")
     if kind == "from_generator":

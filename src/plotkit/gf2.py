@@ -115,7 +115,11 @@ def rref(words: Iterable[Word], n: int | None = None) -> Gf2Basis:
     for w in words:
         if w.length != n:
             raise ValueError(f"mixed word lengths: {n} and {w.length}")
-    rows = _reduce_bits((w.bits for w in words), n)
+    return _basis(n, _reduce_bits((w.bits for w in words), n))
+
+
+def _basis(n: int, rows: Iterable[int]) -> Gf2Basis:
+    """Wrap RREF rows, packed as ints, into a Gf2Basis of length-n words."""
     return Gf2Basis(n, tuple(Word(n, r) for r in rows))
 
 
@@ -141,7 +145,7 @@ def _code_rows(code: Code) -> tuple[int, ...]:
 
 def code_basis(code: Code) -> Gf2Basis:
     """Canonical RREF basis of the span of a code; same as rref(code.words)."""
-    return Gf2Basis(code.n, tuple(Word(code.n, r) for r in _code_rows(code)))
+    return _basis(code.n, _code_rows(code))
 
 
 def in_span(basis: Gf2Basis, w: Word) -> bool:

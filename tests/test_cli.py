@@ -165,6 +165,26 @@ class TestFamily:
         assert "over the enumeration cap of 4096" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_universe_over_the_length_limit_exits_two_without_output(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "uni.code"
+        assert cli_main(["family", "universe", "4097", "-o", str(out)]) == 2
+        assert "word length must be in 1..4096, got 4097" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_random_over_the_cap_exits_two_without_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("PLOTKIN_MAX_ENUM", "100")
+        out = tmp_path / "r.code"
+        argv = ["random", "-n", "8", "-M", "101", "--seed", "1", "-o", str(out)]
+        assert cli_main(argv) == 2
+        assert "has 101 words, over the enumeration cap of 100" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
 
 class TestCorpus:
     def test_table_and_exit_zero(self, capsys):
@@ -185,6 +205,11 @@ class TestCorpus:
 
     def test_max_n_validation(self, capsys):
         assert cli_main(["corpus", "--pairs", "1", "--seed", "1", "--max-n", "1"]) == 2
+
+    def test_max_n_over_the_length_limit(self, capsys):
+        argv = ["corpus", "--pairs", "1", "--seed", "1", "--max-n", "4097"]
+        assert cli_main(argv) == 2
+        assert "--max-n must be at most 4096, got 4097" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -4,7 +4,6 @@ import pytest
 
 from plotkit.core import Word, code_from_words
 from plotkit.families import (
-    FamilySpec,
     build_family,
     from_generator,
     parity,
@@ -121,31 +120,29 @@ class TestRandomCode:
 
 class TestFamilySpec:
     def test_numeric_kinds(self):
-        assert build_family(FamilySpec("repetition", ("3",))) == repetition(3)
-        assert build_family(FamilySpec("reed_muller", ("1", "3"))) == reed_muller(1, 3)
-        assert build_family(
-            FamilySpec("random", ("5", "6", "11"))
-        ) == random_code(5, 6, seed=11)
-        assert build_family(
-            FamilySpec("random", ("5", "6", "11", "1"))
-        ) == random_code(5, 6, seed=11, include_zero=True)
+        assert build_family("repetition", ("3",)) == repetition(3)
+        assert build_family("reed_muller", ("1", "3")) == reed_muller(1, 3)
+        assert build_family("random", ("5", "6", "11")) == random_code(5, 6, seed=11)
+        assert build_family("random", ("5", "6", "11", "1")) == random_code(
+            5, 6, seed=11, include_zero=True
+        )
 
     def test_from_generator(self):
-        built = build_family(FamilySpec("from_generator", ("11", "01")))
+        built = build_family("from_generator", ("11", "01"))
         assert built == universe(2)
         assert from_generator([w("11"), w("01")]) == universe(2)
 
     def test_rejects_bad_specs(self):
         with pytest.raises(ValueError):
-            build_family(FamilySpec("golay", ("23",)))
+            build_family("golay", ("23",))
         with pytest.raises(ValueError):
-            build_family(FamilySpec("repetition", ("2", "3")))
+            build_family("repetition", ("2", "3"))
         with pytest.raises(ValueError):
-            build_family(FamilySpec("reed_muller", ("x", "3")))
+            build_family("reed_muller", ("x", "3"))
         with pytest.raises(ValueError):
-            build_family(FamilySpec("random", ("5",)))
+            build_family("random", ("5",))
         with pytest.raises(ValueError):
-            build_family(FamilySpec("from_generator", ()))
+            build_family("from_generator", ())
 
 
 class TestGeneratedParameters:
