@@ -103,8 +103,8 @@ def random_code(n: int, M: int, seed: int, include_zero: bool = False) -> Code:
     limit = space if include_zero else space - 1
     if not 1 <= M <= limit:
         raise ValueError(
-            f"cardinality must be in 1..{limit} for n={n}"
-            f"{'' if include_zero else ' without the zero word'}, got {M}"
+            f"cardinality must be in 1..2^{n}{'' if include_zero else ' - 1'}"
+            f" for n={n}{'' if include_zero else ' without the zero word'}, got {M}"
         )
     check_enumeration(M, f"random code of length {n}")
     stream = _splitmix64(seed)

@@ -6,7 +6,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Code, Word
+from .core import Code, Word, _check_length
 
 # Ceiling on materialized span sizes (number of words). Override with the
 # PLOTKIN_MAX_ENUM environment variable.
@@ -52,6 +52,7 @@ class Gf2Basis:
     rows: tuple[Word, ...]
 
     def __post_init__(self) -> None:
+        _check_length(self.n)
         pivots = []
         for w in self.rows:
             if w.length != self.n:

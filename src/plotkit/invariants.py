@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, islice, pairwise
+from operator import add, mul, sub
 
 from .core import Code
 from .gf2 import _code_rows
@@ -35,15 +36,155 @@ def is_linear(code: Code) -> bool:
     return len(code) == 1 << rank(code)
 
 
-def _min_pairwise(patterns) -> int:
+def _closest(pairs) -> int:
+    """Least distance over pairs of words; a distance of 1 ends the scan."""
     best = None
-    for a, b in combinations(patterns, 2):
+    for a, b in pairs:
         d = (a ^ b).bit_count()
         if best is None or d < best:
             best = d
             if best == 1:
                 break
     return best
+
+
+def _scan_pairs(patterns) -> int:
+    """Least distance over all pairs of two or more words."""
+    return _closest(combinations(patterns, 2))
+
+
+def _upper_bound(patterns) -> int:
+    """A distance that occurs among two or more sorted words.
+
+    The first word is compared with every other, then each word with the
+    next.
+    """
+    best = _closest(islice(combinations(patterns, 2), len(patterns) - 1))
+    return best if best == 1 else min(best, _closest(pairwise(patterns)))
+
+
+def _blocks(patterns, n: int, t: int) -> list[tuple[int, int, list[list[int]]]]:
+    """The n coordinates split into t contiguous blocks [lo, hi).
+
+    Each block comes with the groups of two or more words that agree on it.
+    """
+    blocks = []
+    for lo, hi in pairwise(n * i // t for i in range(t + 1)):
+        mask = ((1 << (hi - lo)) - 1) << lo
+        groups: dict[int, list[int]] = {}
+        for w in patterns:
+            groups.setdefault(w & mask, []).append(w)
+        blocks.append((lo, hi, [g for g in groups.values() if len(g) > 1]))
+    return blocks
+
+
+def _pairs(block) -> int:
+    return sum(len(g) * (len(g) - 1) // 2 for g in block[2])
+
+
+def _least(patterns, n: int, t: int) -> int:
+    """min(t, least distance between two of the distinct length-n patterns)."""
+    while t > 1:
+        all_pairs = len(patterns) * (len(patterns) - 1) // 2
+        # Putting a word in a group costs about as much as four pair
+        # comparisons, and t blocks put every word in t groups.
+        if 4 * t * len(patterns) >= all_pairs:
+            return min(t, _scan_pairs(patterns))
+        blocks = _blocks(patterns, n, t)
+        # Inside a group t can exceed n; an empty block then puts every
+        # word in one group, and the scan runs.
+        if sum(map(_pairs, blocks)) >= all_pairs:
+            return min(t, _scan_pairs(patterns))
+        below = _below(blocks, n, t)
+        if below == t:
+            return t
+        t = below
+    return t
+
+
+def _below(blocks, n: int, t: int) -> int:
+    """The first distance under t within a group, cheapest block first; else t."""
+    for lo, hi, groups in sorted(blocks, key=_pairs):
+        low = (1 << lo) - 1
+        for g in groups:
+            # The group agrees on [lo, hi): dropping those coordinates
+            # keeps its words distinct, in order and as far apart.
+            d = _least([((w >> hi) << lo) | (w & low) for w in g], n - (hi - lo), t)
+            if d < t:
+                return d
+    return t
+
+
+# The span path builds lists of 2^r ints: at rank 16, 65,536 entries.
+_SPAN_MAX_RANK = 16
+
+
+def _xor_transform(v: list[int]) -> list[int]:
+    """Walsh-Hadamard transform of a list of 2^r ints, in place.
+
+    Level h (a power of two) adds and subtracts each entry whose index has
+    the bit h clear and the entry h above it. The pairs are taken as h
+    strided slices while h is small and as the halves of each 2h block
+    after, so that a level makes about sqrt(2^r) slices at most and the
+    additions run in `map`.
+    """
+    n, h = len(v), 1
+    while h < n:
+        step = 2 * h
+        if h <= n // step:
+            for o in range(h):
+                a, b = v[o::step], v[o + h :: step]
+                v[o::step], v[o + h :: step] = map(add, a, b), map(sub, a, b)
+        else:
+            for i in range(0, n, step):
+                a, b = v[i : i + h], v[i + h : i + step]
+                v[i : i + h], v[i + h : i + step] = map(add, a, b), map(sub, a, b)
+        h = step
+    return v
+
+
+def _coordinates(patterns, rows, n: int):
+    """Each word's coordinates on the RREF rows, as an index below 2^r.
+
+    Row i's pivot, its top bit, is clear in every other row, so a span
+    word's bit there is its coefficient of row i. The bit is read for all
+    words at once from the words packed side by side, one byte-aligned
+    slot each, which costs the same on any words of one length.
+    """
+    width = (n + 7) // 8
+    packed = int.from_bytes(b"".join(w.to_bytes(width, "little") for w in patterns), "little")
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * len(patterns), "little")
+    index = 0
+    for i, row in enumerate(rows):
+        index |= ((packed >> row.bit_length() - 1) & ones) << i
+    # An index has r <= 16 bits: a slot's first byte, and its second if n > 8.
+    raw = index.to_bytes(width * len(patterns), "little")
+    if width == 1:
+        return raw
+    return [lo | hi << 8 for lo, hi in zip(raw[::width], raw[1::width])]
+
+
+def _span_distance(code: Code, rows) -> int:
+    """Least distance between two of the codewords, read from their span.
+
+    The words of the span are indexed by their coordinates on the rows, so
+    the code is a 0/1 vector f over GF(2)^r. Its xor autocorrelation,
+    f*f(x) = |C & (C + x)|, is nonzero exactly where x is a difference of
+    two codewords, and is found as the inverse transform of the squared
+    transform of f. The work is set by the rank and the size of the code,
+    whatever its distance.
+    """
+    r = len(rows)
+    span = [0]
+    for row in rows:
+        span += [s ^ row for s in span]
+    spectrum = [0] * (1 << r)
+    for i in _coordinates(code.bit_patterns, rows, code.n):
+        spectrum[i] = 1
+    _xor_transform(spectrum)
+    found = _xor_transform(list(map(mul, spectrum, spectrum)))
+    # Index 0 is the zero difference of each word with itself.
+    return min(map(int.bit_count, compress(span[1:], found[1:])))
 
 
 def _min_weight(patterns) -> int:
@@ -53,14 +194,59 @@ def _min_weight(patterns) -> int:
 def min_distance(code: Code) -> int:
     """Minimum Hamming distance over pairs of distinct codewords.
 
-    Needs at least two codewords. Linear codes take the minimum-nonzero-
-    weight shortcut; everything else is the pairwise scan.
+    Needs at least two codewords. A linear code takes the minimum-nonzero-
+    weight shortcut. Any other code is searched exactly:
+
+    - Bound: comparing the first codeword with every other, then each
+      codeword with the next in sorted order, gives a distance t that
+      occurs. A pair at distance 1 ends the search there.
+    - Span: a code of rank r <= 16 with 4r * 2^r <= M(M-1)/2 is dense in
+      its span, and d is read from the span: the least weight of a nonzero
+      span word x with C & (C + x) nonempty, found for all x at once by
+      two Walsh-Hadamard transforms. Its cost is set by r and M alone, so
+      codes of one shape take one time whatever their d.
+
+    Any other code is searched by blocks of coordinates, comparing only
+    the pairs that can beat the bound:
+
+    - Pigeonhole: two words at distance under t differ in at most t - 1
+      coordinates, so they agree on at least one of t disjoint blocks. The
+      n coordinates are split into t contiguous blocks, the words are
+      grouped by their value on each block, and only words in one group
+      are compared, the block with the fewest such pairs first. A large
+      group drops its shared block and is searched the same way.
+    - Re-block: a pair under t found in a group lowers the bound, and the
+      blocks are made again for it. A full pass over the t blocks that
+      finds no pair under t proves that d = t.
+    - Fallback: every pair is compared when putting each of the M words in
+      t groups would cost about as much, 4tM >= M(M-1)/2 (a placement
+      costs about four comparisons), or when the groups hold M(M-1)/2
+      pairs or more.
+
+    The result is exact and read from the code alone; no structure is
+    assumed.
     """
     if len(code) < 2:
         raise ValueError("distance undefined for a one-word code")
     if is_linear(code):
         return _min_weight(code.bit_patterns)
-    return _min_pairwise(code.bit_patterns)
+    patterns = code.bit_patterns
+    t = _upper_bound(patterns)
+    if t == 1:
+        return 1
+    if _spans_small(rank(code), len(patterns)):
+        return _span_distance(code, _code_rows(code))
+    return _least(patterns, code.n, t)
+
+
+def _spans_small(r: int, m: int) -> bool:
+    """True when transforming the 2^r-word span costs a quarter of a pair scan or less.
+
+    A level of the transform costs about as much as one comparison per
+    word of the span. The block search often costs a small part of the
+    scan, so the span takes over only well below it.
+    """
+    return r <= _SPAN_MAX_RANK and 4 * (r << r) <= m * (m - 1) // 2
 
 
 def _kernel_scan(code: Code) -> Code:

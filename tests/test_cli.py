@@ -185,6 +185,17 @@ class TestFamily:
         )
         assert not out.exists()
 
+    def test_random_cardinality_error_writes_the_limit_as_a_power(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "r.code"
+        argv = ["random", "-n", "4096", "-M", "0", "--seed", "1", "-o", str(out)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert "cardinality must be in 1..2^4096 - 1 for n=4096" in err
+        assert len(err.encode()) < 200
+        assert not out.exists()
+
 
 class TestCorpus:
     def test_table_and_exit_zero(self, capsys):

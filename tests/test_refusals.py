@@ -60,7 +60,7 @@ TOO_LONG = {
     # 2^13 = 8192 is the first Reed-Muller length over 4096
     "reed_muller": lambda: reed_muller(1, MAX_LENGTH.bit_length()),
     "plotkin_construct": lambda: plotkin_construct(*half_length_pair()),
-    # Word refuses rows of that length, so only the empty basis has it
+    # no basis of that length can be built to pass in
     "span_enumerate": lambda: span_enumerate(Gf2Basis(MAX_LENGTH + 1, ())),
     # no generator row of that length can be built to pass in
     "from_generator": lambda: from_generator([Word(MAX_LENGTH + 1, 1)]),
@@ -70,6 +70,15 @@ TOO_LONG = {
 @pytest.mark.parametrize("name", sorted(TOO_LONG))
 def test_refuses_a_length_over_the_limit(name):
     assert refusal_time(TOO_LONG[name], LENGTH_MESSAGE) < BUDGET_S
+
+
+@pytest.mark.parametrize("n", [0, MAX_LENGTH + 1])
+def test_basis_refuses_a_length_outside_the_limit(n):
+    assert refusal_time(lambda: Gf2Basis(n, ()), LENGTH_MESSAGE) < BUDGET_S
+
+
+def test_empty_basis_of_a_valid_length_builds():
+    assert rref([], n=4) == Gf2Basis(4, ())
 
 
 # Each call with the number of words it materializes. The cap is set one
