@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import warnings
 
-from .core import Code, Word
-from .gf2 import Gf2Basis, code_basis, span_enumerate
+from .core import Code, _check_length
+from .gf2 import Gf2Basis, _reduce_bits, _span_code
 
 
 class ParseError(ValueError):
@@ -35,7 +35,7 @@ def _parse_rows(text: str) -> tuple[int, list[tuple[int, int]]]:
             raise ParseError(f"illegal characters in {line!r}", line=lineno)
         if length is None:
             length = len(line)
-            Word(length, 0)  # checks 1 <= length <= MAX_LENGTH
+            _check_length(length)
         elif len(line) != length:
             raise ParseError(
                 f"row of length {len(line)} in a file of length-{length} rows",
@@ -63,7 +63,7 @@ def parse_code_file(text: str) -> Code:
 def parse_gen_file(text: str) -> Code:
     """Parse a generator file and materialize its row space."""
     n, rows = _parse_rows(text)
-    return span_enumerate(code_basis(Code._from_bits(n, (b for _, b in rows))))
+    return _span_code(n, _reduce_bits((b for _, b in rows), n))
 
 
 def code_lines(code: Code) -> list[str]:

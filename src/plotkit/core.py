@@ -97,13 +97,13 @@ class Code:
     `words` tuple, which is built on each call, are deterministic:
     ascending bit patterns, i.e. lexicographic in the printed form.
 
-    `_rref` and `_kernel` cache the code's analyses: its RREF rows as
-    packed ints and, for a nonlinear code, its kernel. `gf2` and
-    `invariants` fill them on first use; a filled slot never changes, so a
-    code is row-reduced and kernel-scanned at most once.
+    `_rref`, `_kernel` and `_d` cache the code's analyses: its RREF rows as
+    packed ints, the kernel of a nonlinear code and the minimum distance.
+    `gf2` and `invariants` fill them on first use; a filled slot never
+    changes, so each analysis runs at most once per code.
     """
 
-    __slots__ = ("n", "_bits", "_patterns", "_rref", "_kernel")
+    __slots__ = ("n", "_bits", "_patterns", "_rref", "_kernel", "_d")
 
     def __init__(self, words: Iterable[Word]):
         words = list(words)
@@ -124,12 +124,16 @@ class Code:
 
     def _init(self, n: int, bits: Iterable[int]) -> None:
         self.n = n
-        self._bits = frozenset(bits)
+        patterns = sorted(bits)  # a list, not a set in hash order
+        self._bits = frozenset(patterns)
         if not self._bits:
             raise ValueError("a code needs at least one word")
-        self._patterns = tuple(sorted(self._bits))
+        if len(patterns) > len(self._bits):
+            patterns = sorted(self._bits)
+        self._patterns = tuple(patterns)
         self._rref: tuple[int, ...] | None = None
         self._kernel: Code | None = None
+        self._d: int | None = None
 
     @property
     def words(self) -> tuple[Word, ...]:

@@ -160,15 +160,24 @@ def in_span(basis: Gf2Basis, w: Word) -> bool:
     return v == 0
 
 
+def _span(rows) -> list[int]:
+    """All 2^r sums of the packed rows; bit i of the index selects row i."""
+    span = [0]
+    for row in rows:
+        span += [s ^ row for s in span]
+    return span
+
+
+def _span_code(n: int, rows) -> Code:
+    """The span of packed length-n rows as a Code, refused over the cap."""
+    check_enumeration(1 << len(rows), f"span of dimension {len(rows)}")
+    return Code._from_bits(n, _span(rows))
+
+
 def span_enumerate(basis: Gf2Basis) -> Code:
     """Materialize the subspace spanned by the basis as a Code.
 
     The result has exactly 2^dim words, always including zero. Refuses
     spans larger than enumeration_cap().
     """
-    check_enumeration(1 << basis.dim, f"span of dimension {basis.dim}")
-    acc = [0]
-    for row in basis.rows:
-        r = row.bits
-        acc += [v ^ r for v in acc]
-    return Code._from_bits(basis.n, acc)
+    return _span_code(basis.n, [row.bits for row in basis.rows])

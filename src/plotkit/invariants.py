@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, compress, islice, pairwise
+from math import isqrt
 from operator import add, mul, sub
 
 from .core import Code
-from .gf2 import _code_rows
+from .gf2 import _code_rows, _reduce_bits, _span, enumeration_cap
 
 
 @dataclass(frozen=True)
@@ -143,52 +144,21 @@ def _xor_transform(v: list[int]) -> list[int]:
     return v
 
 
-def _coordinates(patterns, rows, n: int):
-    """Each word's coordinates on the RREF rows, as an index below 2^r.
-
-    Row i's pivot, its top bit, is clear in every other row, so a span
-    word's bit there is its coefficient of row i. The bit is read for all
-    words at once from the words packed side by side, one byte-aligned
-    slot each, which costs the same on any words of one length.
-    """
-    width = (n + 7) // 8
-    packed = int.from_bytes(b"".join(w.to_bytes(width, "little") for w in patterns), "little")
-    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * len(patterns), "little")
-    index = 0
-    for i, row in enumerate(rows):
-        index |= ((packed >> row.bit_length() - 1) & ones) << i
-    # An index has r <= 16 bits: a slot's first byte, and its second if n > 8.
-    raw = index.to_bytes(width * len(patterns), "little")
-    if width == 1:
-        return raw
-    return [lo | hi << 8 for lo, hi in zip(raw[::width], raw[1::width])]
-
-
 def _span_distance(code: Code, rows) -> int:
     """Least distance between two of the codewords, read from their span.
 
-    The words of the span are indexed by their coordinates on the rows, so
-    the code is a 0/1 vector f over GF(2)^r. Its xor autocorrelation,
-    f*f(x) = |C & (C + x)|, is nonzero exactly where x is a difference of
-    two codewords, and is found as the inverse transform of the squared
-    transform of f. The work is set by the rank and the size of the code,
-    whatever its distance.
+    Span word i is the sum of the rows that the bits of i select, and the
+    code is the 0/1 vector f over GF(2)^r of its members among them. Its
+    xor autocorrelation, f*f(x) = |C & (C + x)|, is nonzero exactly where
+    x is a difference of two codewords, and is found as the inverse
+    transform of the squared transform of f. The work is set by the rank
+    and the size of the code, whatever its distance.
     """
-    r = len(rows)
-    span = [0]
-    for row in rows:
-        span += [s ^ row for s in span]
-    spectrum = [0] * (1 << r)
-    for i in _coordinates(code.bit_patterns, rows, code.n):
-        spectrum[i] = 1
-    _xor_transform(spectrum)
+    span = _span(rows)
+    spectrum = _xor_transform(list(map(code._bits.__contains__, span)))
     found = _xor_transform(list(map(mul, spectrum, spectrum)))
     # Index 0 is the zero difference of each word with itself.
     return min(map(int.bit_count, compress(span[1:], found[1:])))
-
-
-def _min_weight(patterns) -> int:
-    return min(b.bit_count() for b in patterns if b)
 
 
 def min_distance(code: Code) -> int:
@@ -223,14 +193,21 @@ def min_distance(code: Code) -> int:
       costs about four comparisons), or when the groups hold M(M-1)/2
       pairs or more.
 
-    The result is exact and read from the code alone; no structure is
-    assumed.
+    The result is exact, read from the code alone and cached on it; no
+    structure is assumed.
     """
     if len(code) < 2:
         raise ValueError("distance undefined for a one-word code")
-    if is_linear(code):
-        return _min_weight(code.bit_patterns)
+    if code._d is None:
+        code._d = _distance(code)
+    return code._d
+
+
+def _distance(code: Code) -> int:
+    """The search behind min_distance, on a code of two or more words."""
     patterns = code.bit_patterns
+    if is_linear(code):
+        return min(b.bit_count() for b in patterns if b)
     t = _upper_bound(patterns)
     if t == 1:
         return 1
@@ -274,33 +251,54 @@ def _kernel_scan(code: Code) -> Code:
     return Code._from_bits(code.n, span)
 
 
+def _near_full(r: int, m: int) -> bool:
+    """m words leave 1 to sqrt(m) words of a 2^r-word span out, within the cap."""
+    return m < 1 << r <= min(enumeration_cap(), m + isqrt(m))
+
+
+def _complement(code: Code) -> Code | None:
+    """S - C0, the few words of a span S that C0 = C + c0 leaves out, or None.
+
+    C0 holds zero, so its kernel lies in S, and x in S fixes C0 exactly
+    when it fixes S - C0: the two have the kernel of C.
+    """
+    patterns, m = code.bit_patterns, len(code)
+    c0 = patterns[0]
+    rows = _code_rows(code)
+    # Without the zero word, C0 may span one dimension less than C.
+    if c0 and not _near_full(len(rows), m) and _near_full(len(rows) - 1, m):
+        rows = _reduce_bits([b ^ c0 for b in patterns], code.n)
+    if not _near_full(len(rows), m):
+        return None
+    members = {b ^ c0 for b in patterns} if c0 else code._bits
+    return Code._from_bits(code.n, [s for s in _span(rows) if s not in members])
+
+
 def kernel(code: Code) -> Code:
     """All x with code + x = code; a subspace of GF(2)^n, never empty.
 
-    Any such x satisfies x = (c0 + x) + c0 with c0 + x a codeword, so the
-    candidates are code + c0 for a fixed codeword c0, and the kernel is
-    their intersection with every other translate code + c. One surviving
-    candidate is probed against the codewords at a time:
+    Any such x is (c0 + x) + c0 with c0 + x a codeword, so the candidates
+    are code + c0 for one codeword c0, and the kernel is their
+    intersection with every translate code + c. One survivor x is
+    probed at a time: a codeword w with w + x outside the code refutes x
+    and filters every survivor x' (x' + w must be a codeword) in one
+    pass; a candidate with no witness doubles the span of the kernel
+    words found, whose new members leave the survivors unprobed. So only
+    dim(kernel) candidates are probed in full, every word kept is probed
+    or a sum of probed words, and every word dropped has a witness: the
+    result is exact and measured from the code alone.
 
-    - a codeword w with w + x outside the code refutes x, and every
-      survivor x' is then filtered against that same witness in one pass
-      (x' + w must be a codeword);
-    - a candidate with no witness is in the kernel, so the span of the
-      kernel words found so far doubles with it and its new members leave
-      the survivors unprobed: the kernel is closed under addition.
-
-    Only dim(kernel) candidates are probed in full. Every word reported is
-    a fully probed word or a sum of them, and every word left out has an
-    explicit witness, so the result is exact and measured from the code
-    alone. A code that is itself linear is its own kernel, which skips the
-    scan entirely; any other code is scanned once and its kernel cached on
-    it. A linear code is not stored in its own slot, which would be a
-    reference cycle.
+    A linear code minus a few words, or a coset of one, would make each
+    candidate its own witness, so the scan runs instead on the at most
+    sqrt(|C|) span words that C + c0 misses, when there are that few. A
+    linear code is its own kernel and is not scanned, nor stored in its
+    own slot, which would be a reference cycle; any other code is
+    scanned once and its kernel cached on it.
     """
     if is_linear(code):
         return code
     if code._kernel is None:
-        code._kernel = _kernel_scan(code)
+        code._kernel = _kernel_scan(_complement(code) or code)
     return code._kernel
 
 

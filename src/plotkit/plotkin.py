@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .core import Code
-from .gf2 import Gf2Basis, _basis, _reduce_bits, check_enumeration, code_basis
+from .gf2 import Gf2Basis, _basis, _code_rows, _reduce_bits, check_enumeration
 from .invariants import CodeSummary, kernel, summarize
 
 
@@ -102,9 +102,13 @@ def span_direct(b1: Gf2Basis, b2: Gf2Basis) -> Gf2Basis:
     """
     if b1.n != b2.n:
         raise ValueError(f"length mismatch: {b1.n} != {b2.n}")
-    n = b1.n
-    gens = [(r.bits << n) | r.bits for r in b1.rows] + [r.bits for r in b2.rows]
-    return _basis(2 * n, _reduce_bits(gens, 2 * n))
+    rows1, rows2 = ([r.bits for r in b.rows] for b in (b1, b2))
+    return _basis(2 * b1.n, _direct_rows(rows1, rows2, b1.n))
+
+
+def _direct_rows(rows1, rows2, n: int) -> tuple[int, ...]:
+    """span_direct on packed length-n rows."""
+    return tuple(_reduce_bits([(r << n) | r for r in rows1] + list(rows2), 2 * n))
 
 
 def predict_params(s1: CodeSummary, s2: CodeSummary) -> CodeParams:
@@ -146,10 +150,10 @@ def _verify(c1: Code, c2: Code, code: Code) -> PlotkinReport:
     `code` must be plotkin_construct(c1, c2); a caller that needs the code
     too passes it in, so it is built and analysed only once. Every number
     compared is read from the summaries of the three codes; only the two
-    factorization equalities build sets or bases.
+    factorization equalities build sets, or canonical RREF rows.
     """
     theorem_i = kernel(code) == kernel_direct(kernel(c1), kernel(c2))
-    theorem_ii = code_basis(code) == span_direct(code_basis(c1), code_basis(c2))
+    theorem_ii = _code_rows(code) == _direct_rows(_code_rows(c1), _code_rows(c2), c1.n)
 
     s1, s2, s = summarize(c1), summarize(c2), summarize(code)
     corollary_i = s.ker_dim == s1.ker_dim + s2.ker_dim

@@ -1,7 +1,9 @@
-"""Each code is analysed once: row reductions and kernel scans are counted.
+"""Each code is analysed once: row reductions, kernel scans and distance
+searches are counted.
 
-The reduction helper and the kernel scan are wrapped with counters in every
-plotkit module that binds them, so the counts cover every call site.
+The reduction helper, the kernel scan and the distance search are wrapped
+with counters in every plotkit module that binds them, so the counts cover
+every call site.
 """
 
 import sys
@@ -16,6 +18,7 @@ import plotkit.invariants as invariants
 from plotkit.cli import cli_main
 from plotkit.codefile import format_code_file
 from plotkit.core import Code, Word
+from plotkit.gf2 import Gf2Basis, code_basis
 from plotkit.families import parity, random_code, universe
 from plotkit.invariants import (
     is_linear,
@@ -42,6 +45,7 @@ def work(monkeypatch):
     for module, attr, key in (
         (gf2, "_reduce_bits", "reductions"),
         (invariants, "_kernel_scan", "kernel scans"),
+        (invariants, "_distance", "distance searches"),
     ):
         original = getattr(module, attr)
         wrapper = counted(key, original)
@@ -63,10 +67,39 @@ def nonlinear_pair():
 def test_verify_reduces_four_times_and_scans_three_kernels(work):
     c1, c2 = nonlinear_pair()
     assert verify_plotkin(c1, c2).all_checks_hold
-    # c1, c2, the constructed code and span_direct's generators
+    # c1, c2, the constructed code and the direct span's generators
     assert work["reductions"] == 4
     # c1, c2 and the constructed code
     assert work["kernel scans"] == 3
+    assert work["distance searches"] == 3
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts of the Word and Gf2Basis values constructed so far."""
+    counts = Counter()
+    for cls in (Word, Gf2Basis):
+        check = cls.__post_init__
+
+        def counted(self, check=check, name=cls.__name__):
+            counts[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
+
+
+def test_verify_builds_no_word_or_basis(built):
+    c1, c2 = nonlinear_pair()
+    assert verify_plotkin(c1, c2).all_checks_hold
+    # out of the hypothesis too: one word (u|u+v) spans less than the
+    # direct rows (u|u) and (0|v)
+    lone = Code._from_bits(9, [3]), Code._from_bits(9, [5])
+    assert not verify_plotkin(*lone).theorem_ii_holds
+    assert built == {}
+    # the counters see a basis that is built
+    code_basis(c1)
+    assert built["Gf2Basis"] == 1
 
 
 @pytest.mark.parametrize("flags", [[], ["--oracle"]])
@@ -78,7 +111,7 @@ def test_cli_verify_analyses_the_constructed_code_once(work, tmp_path, flags):
         path.write_text(format_code_file(random_code(5, m, seed, include_zero=True)))
         paths.append(str(path))
     assert cli_main(["verify", *flags, *paths]) == 0
-    assert work == {"reductions": 4, "kernel scans": 3}
+    assert work == {"reductions": 4, "kernel scans": 3, "distance searches": 3}
 
 
 def test_summaries_after_verify_do_no_new_work(work):
@@ -94,7 +127,7 @@ def test_repeated_analyses_of_one_code_reduce_and_scan_once(work):
     c = plotkin_construct(*nonlinear_pair())
     for _ in range(3):
         rank(c), is_linear(c), kernel(c), kernel_dim(c), min_distance(c), summarize(c)
-    assert work == {"reductions": 1, "kernel scans": 1}
+    assert work == {"reductions": 1, "kernel scans": 1, "distance searches": 1}
 
 
 def test_linear_code_is_reduced_once_and_never_scanned(work):
@@ -102,7 +135,7 @@ def test_linear_code_is_reduced_once_and_never_scanned(work):
     for _ in range(3):
         assert kernel(c) is c
         summarize(c)
-    assert work == {"reductions": 1}
+    assert work == {"reductions": 1, "distance searches": 1}
     # the kernel of a linear code is the code itself, never a stored cycle
     assert c._kernel is None
 

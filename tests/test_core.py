@@ -147,6 +147,12 @@ class TestCode:
         assert len(c) == 2
         assert c.n == 2
 
+    def test_repeated_patterns_give_one_sorted_tuple(self):
+        c = Code._from_bits(3, [5, 1, 5, 0, 1, 5])
+        assert c.bit_patterns == (0, 1, 5)
+        assert len(c) == 3
+        assert code("11", "00", "11").bit_patterns == (0, 3)
+
     def test_singleton(self):
         c = code_from_words([Word.zero(4)])
         assert len(c) == 1

@@ -274,6 +274,17 @@ class TestSpanPath:
         assert min_distance(c) == 2
         assert transforms == [16, 16]
 
+    def test_a_rank_18_code_read_directly(self, transforms):
+        # 19 words of rank 18, past the path's bound, so _span_distance is
+        # called directly. Each span word is its own sum of the 18 rows, so
+        # the two words at distance 7 are found; folding the top two
+        # coefficient bits away would report 5.
+        c = random_code(24, 19, seed=3, include_zero=True)
+        assert invariants.rank(c) == 18
+        assert invariants._span_distance(c, invariants._code_rows(c)) == 7
+        assert naive_min(c) == 7
+        assert transforms == [18, 18]
+
     def test_the_span_path_stops_at_rank_16(self):
         # Above rank 16 the span's list is not built, whatever the code's size.
         assert invariants._spans_small(16, (1 << 16) - 1)

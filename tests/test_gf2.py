@@ -11,6 +11,7 @@ from plotkit.families import _splitmix64
 from plotkit.gf2 import (
     Gf2Basis,
     _reduce_bits,
+    _span,
     code_basis,
     enumeration_cap,
     in_span,
@@ -177,6 +178,31 @@ class TestInSpan:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             in_span(rref([w("11")]), w("011"))
+
+
+@st.composite
+def packed_words(draw):
+    """A length n and up to six packed words of that length."""
+    n = draw(st.integers(1, 12))
+    return n, draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+
+
+class TestSpanList:
+    @given(packed_words())
+    def test_index_bits_select_rows(self, case):
+        n, patterns = case
+        rows = _reduce_bits(patterns, n)
+        span = _span(rows)
+        assert len(span) == 1 << len(rows)
+        assert len(set(span)) == len(span)
+        for i, row in enumerate(rows):
+            assert span[1 << i] == row
+        for i in range(len(span)):
+            for j in range(len(span)):
+                assert span[i ^ j] == span[i] ^ span[j]
+
+    def test_no_rows_span_zero(self):
+        assert _span([]) == [0]
 
 
 class TestSpanEnumerate:

@@ -2,15 +2,22 @@
 
 Near-linear codes (a linear code plus one word outside it) made the old
 per-candidate scan quadratic: every candidate survived every probe until
-the extra word. Membership probes are counted by swapping a fresh code's
-member set for a counting frozenset, so the gate is a count, not a time.
+the extra word. A linear code minus a few words did too, until the scan
+moved to the few words its translate leaves out of its span. Membership
+probes are counted by swapping a fresh code's member set for a counting
+frozenset, and the size of each code handed to the scan is recorded, so
+the gates are counts, not times.
 """
 
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plotkit.invariants as invariants
+from plotkit.cli import cli_main
+from plotkit.codefile import format_code_file
 from plotkit.core import Code, Word
 from plotkit.families import from_generator, random_code, reed_muller
 from plotkit.invariants import dim, kernel
@@ -51,6 +58,29 @@ def systematic_code(n: int, k: int, seed: int) -> Code:
     )
 
 
+@pytest.fixture
+def scanned(monkeypatch):
+    """The size of each code handed to the kernel scan so far."""
+    sizes = []
+    scan = invariants._kernel_scan
+
+    def counted(code):
+        sizes.append(len(code))
+        return scan(code)
+
+    monkeypatch.setattr(invariants, "_kernel_scan", counted)
+    return sizes
+
+
+def minus_largest(linear: Code, count: int = 1) -> Code:
+    """The code without its `count` largest words."""
+    return Code._from_bits(linear.n, linear.bit_patterns[:-count])
+
+
+def shifted(code: Code, x: int) -> Code:
+    return Code._from_bits(code.n, [b ^ x for b in code.bit_patterns])
+
+
 class TestWorstCases:
     def test_reed_muller_plus_one_word(self):
         c = plus_largest_outside(reed_muller(2, 4))
@@ -81,6 +111,101 @@ class TestWorstCases:
         # 2^8 kernel words, but only the 8 that double the span are probed
         # in full
         assert probes <= (dim(k) + 3) * len(c)
+
+
+class TestLinearMinusWords:
+    """The scan runs on S - C0, the few span words the translate leaves out."""
+
+    def test_reed_muller_minus_its_largest_word(self, scanned):
+        c = minus_largest(reed_muller(2, 4))
+        k, probes = kernel_probes(c)
+        assert k == kernel_bruteforce(c) == Code._from_bits(16, [0])
+        assert scanned == [1]
+        # one probe per span word, to find the missing one
+        assert probes <= 3 * len(c)
+
+    def test_systematic_16_11_minus_one_word(self, scanned):
+        for seed in (1, 2, 3):
+            c = minus_largest(systematic_code(16, 11, seed))
+            k, probes = kernel_probes(c)
+            # |C| = 2^11 - 1 is odd and the kernel's cosets partition C
+            assert k == Code._from_bits(16, [0])
+            assert probes <= 3 * len(c)
+        assert scanned == [1, 1, 1]
+
+    def test_cosets_of_a_linear_code_minus_four_words(self, scanned, monkeypatch):
+        translates = []
+        reduce_bits = invariants._reduce_bits
+
+        def counted(patterns, n):
+            translates.append(n)
+            return reduce_bits(patterns, n)
+
+        monkeypatch.setattr(invariants, "_reduce_bits", counted)
+        linear = systematic_code(12, 9, 7)
+        c = minus_largest(linear, 4)
+        # a dropped word of the linear code moves zero out of the code, and
+        # so does any word outside it
+        inside = linear.bit_patterns[-1]
+        outside = next(x for x in range(1 << 12) if x not in linear._bits)
+        for x in (0, inside, outside):
+            k, probes = kernel_probes(shifted(c, x))
+            assert k == kernel_bruteforce(c)
+            assert probes <= 3 * len(c)
+        assert scanned == [4, 4, 4]
+        # only the shift outside the span reduces its translate, whose span
+        # is one dimension smaller than the code's
+        assert translates == [12]
+
+    def test_too_many_missing_words_scan_the_code(self, scanned):
+        # 128 - 10 = 118 words miss 10 <= isqrt(118) of their span;
+        # 117 words miss 11 > isqrt(117) = 10
+        linear = systematic_code(10, 7, 8)
+        for count in (10, 11):
+            c = minus_largest(linear, count)
+            assert kernel(c) == kernel_bruteforce(c)
+        assert scanned == [10, 117]
+
+    def test_a_span_over_the_cap_scans_the_code(self, scanned, monkeypatch):
+        c = minus_largest(systematic_code(10, 7, 8))
+        monkeypatch.setenv("PLOTKIN_MAX_ENUM", "127")
+        assert kernel(c) == kernel_bruteforce(c)
+        assert scanned == [127]
+
+    def test_cli_kernel_of_reed_muller_2_5_minus_its_largest_word(
+        self, scanned, tmp_path, capsys
+    ):
+        # 65,535 words: the whole-code scan needed about |C|^2 probes here
+        c = minus_largest(reed_muller(2, 5))
+        path = tmp_path / "rm25.code"
+        path.write_text(format_code_file(c))
+        assert cli_main(["kernel", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "# kernel n=32 dim=0 M=1"
+        assert scanned == [1]
+
+
+@st.composite
+def linear_minus_words(draw):
+    """A linear code of length <= 12 minus one to four words, maybe shifted.
+
+    The shift is zero, a word of the linear code, or any word, which is
+    mostly outside it and then leaves the zero word out of the code.
+    """
+    n = draw(st.integers(2, 12))
+    k, seed = draw(st.integers(2, min(n, 8))), draw(st.integers(0, 1 << 32))
+    patterns = systematic_code(n, k, seed).bit_patterns
+    top = min(4, len(patterns) - 1)
+    dropped = draw(st.sets(st.sampled_from(patterns), min_size=1, max_size=top))
+    shift = draw(
+        st.one_of(st.just(0), st.sampled_from(patterns), st.integers(0, (1 << n) - 1))
+    )
+    return Code._from_bits(n, [b ^ shift for b in patterns if b not in dropped])
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_minus_words())
+def test_kernel_matches_bruteforce_on_linear_codes_minus_words(c):
+    assert kernel(c) == kernel_bruteforce(c)
 
 
 @st.composite

@@ -1,10 +1,12 @@
 """Construction behavior: direct kernel/span assembly vs. independent measurement."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plotkit.core import MAX_LENGTH, Code, Word, code_from_words, translate
 from plotkit.families import _splitmix64, random_code, repetition, universe
-from plotkit.gf2 import Gf2Basis, rref, span_enumerate
+from plotkit.gf2 import Gf2Basis, code_basis, rref, span_enumerate
 from plotkit.invariants import is_linear, kernel, min_distance, rank, summarize
 from plotkit.plotkin import (
     CodeParams,
@@ -251,3 +253,28 @@ class TestVerify:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             verify_plotkin(code("00"), code("000"))
+
+
+@st.composite
+def input_pairs(draw):
+    """Two seeded random codes of one length, each with or without zero."""
+    n = draw(st.integers(1, 6))
+    codes = []
+    for _ in range(2):
+        zero = draw(st.booleans())
+        m = draw(st.integers(1, (1 << n) - (not zero)))
+        codes.append(random_code(n, m, draw(st.integers(0, 1 << 32)), include_zero=zero))
+    return codes
+
+
+@settings(max_examples=200, deadline=None)
+@given(input_pairs())
+def test_span_flag_matches_the_basis_comparison(pair):
+    c1, c2 = pair
+    # the comparison of Gf2Basis values that the packed rows replace
+    reference = code_basis(plotkin_construct(c1, c2)) == span_direct(
+        code_basis(c1), code_basis(c2)
+    )
+    assert verify_plotkin(c1, c2).theorem_ii_holds == reference
+    if c1.contains_zero() and c2.contains_zero():
+        assert reference
