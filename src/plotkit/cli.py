@@ -21,7 +21,8 @@ from .codefile import (
     parse_code_file,
     parse_gen_file,
 )
-from .core import MAX_LENGTH, Code
+from . import core
+from .core import Code
 from .families import KINDS, _splitmix64, build_family, random_code
 from .gf2 import code_basis, enumeration_cap, span_enumerate
 from .invariants import CodeSummary, dim, kernel, summarize
@@ -183,8 +184,8 @@ def _cmd_random(args: argparse.Namespace) -> int:
 def _cmd_corpus(args: argparse.Namespace) -> int:
     if args.max_n < 2:
         raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
-    if args.max_n > MAX_LENGTH:
-        raise ValueError(f"--max-n must be at most {MAX_LENGTH}, got {args.max_n}")
+    if args.max_n > core.MAX_LENGTH:
+        raise ValueError(f"--max-n must be at most {core.MAX_LENGTH}, got {args.max_n}")
     stream = _splitmix64(args.seed)
     failures = 0
     if not args.json:

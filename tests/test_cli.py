@@ -6,6 +6,7 @@ from dataclasses import asdict, fields, replace
 import pytest
 
 import plotkit.cli as cli
+import plotkit.core as core
 from plotkit.cli import cli_main
 from plotkit.codefile import format_code_file, parse_code_file
 from plotkit.core import Word, code_from_words
@@ -221,6 +222,13 @@ class TestCorpus:
         argv = ["corpus", "--pairs", "1", "--seed", "1", "--max-n", "4097"]
         assert cli_main(argv) == 2
         assert "--max-n must be at most 4096, got 4097" in capsys.readouterr().err
+
+    def test_max_n_reads_the_length_limit_at_call_time(self, capsys, monkeypatch):
+        # core.MAX_LENGTH may be rebound; the check must not keep the old value.
+        monkeypatch.setattr(core, "MAX_LENGTH", 8)
+        argv = ["corpus", "--pairs", "1", "--seed", "1", "--max-n", "9"]
+        assert cli_main(argv) == 2
+        assert "--max-n must be at most 8, got 9" in capsys.readouterr().err
 
 
 class TestUsageErrors:

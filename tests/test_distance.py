@@ -285,6 +285,15 @@ class TestSpanPath:
         assert naive_min(c) == 7
         assert transforms == [18, 18]
 
+    def test_the_span_path_obeys_the_enumeration_cap(self, transforms, monkeypatch):
+        # The rank-16 code above, with a cap of 1,000 words: its 65,536-entry
+        # span lists are not built, and the block search finds d.
+        words = [w << 1 | (w.bit_count() & 1) for w in range(1, 1 << 16)]
+        c = Code._from_bits(17, words)
+        monkeypatch.setenv("PLOTKIN_MAX_ENUM", "1000")
+        assert min_distance(c) == 2
+        assert transforms == []
+
     def test_the_span_path_stops_at_rank_16(self):
         # Above rank 16 the span's list is not built, whatever the code's size.
         assert invariants._spans_small(16, (1 << 16) - 1)

@@ -158,13 +158,31 @@ class TestLinearMinusWords:
         assert translates == [12]
 
     def test_too_many_missing_words_scan_the_code(self, scanned):
-        # 128 - 10 = 118 words miss 10 <= isqrt(118) of their span;
-        # 117 words miss 11 > isqrt(117) = 10
+        # 128 - 22 = 106 words miss k = 22 of their span, 22^3 <= 106^2;
+        # 105 words miss 23, and 23^3 > 105^2
         linear = systematic_code(10, 7, 8)
-        for count in (10, 11):
+        for count in (22, 23):
             c = minus_largest(linear, count)
             assert kernel(c) == kernel_bruteforce(c)
-        assert scanned == [10, 117]
+        assert scanned == [22, 105]
+
+    def test_reed_muller_2_5_minus_300_random_words(self, scanned, tmp_path, capsys):
+        # 65,236 words miss k = 300 of their span: past sqrt(M) = 255, where
+        # the whole code was scanned at about M^2 / 2k probes, and within
+        # k^3 <= M^2. RM(2,5) has d = 8, so the shift by a weight-1 word
+        # lies outside its span and leaves the zero word out of the code.
+        rm = reed_muller(2, 5)
+        dropped = set(Random(5).sample(rm.bit_patterns, 300))
+        c = Code._from_bits(32, [b for b in rm.bit_patterns if b not in dropped])
+        for x in (0, 1):
+            k, probes = kernel_probes(shifted(c, x))
+            assert k == Code._from_bits(32, [0])
+            assert probes <= 3 * len(c)
+        assert scanned == [300, 300]
+        path = tmp_path / "rm25-300.code"
+        path.write_text(format_code_file(c))
+        assert cli_main(["kernel", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "# kernel n=32 dim=0 M=1"
 
     def test_a_span_over_the_cap_scans_the_code(self, scanned, monkeypatch):
         c = minus_largest(systematic_code(10, 7, 8))
@@ -186,15 +204,18 @@ class TestLinearMinusWords:
 
 @st.composite
 def linear_minus_words(draw):
-    """A linear code of length <= 12 minus one to four words, maybe shifted.
+    """A linear code of length <= 12 minus some of its words, maybe shifted.
 
-    The shift is zero, a word of the linear code, or any word, which is
-    mostly outside it and then leaves the zero word out of the code.
+    At most `top` words are dropped: the most that M = 2^k - top words can
+    miss with top^3 <= M^2, the complement rule's bound. The shift is zero,
+    a word of the linear code, or any word, which is mostly outside it and
+    then leaves the zero word out of the code.
     """
     n = draw(st.integers(2, 12))
     k, seed = draw(st.integers(2, min(n, 8))), draw(st.integers(0, 1 << 32))
     patterns = systematic_code(n, k, seed).bit_patterns
-    top = min(4, len(patterns) - 1)
+    size = len(patterns)
+    top = max(m for m in range(1, size) if m**3 <= (size - m) ** 2)
     dropped = draw(st.sets(st.sampled_from(patterns), min_size=1, max_size=top))
     shift = draw(
         st.one_of(st.just(0), st.sampled_from(patterns), st.integers(0, (1 << n) - 1))
