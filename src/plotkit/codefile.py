@@ -22,9 +22,14 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-def _parse_rows(text: str) -> tuple[int, list[tuple[int, int]]]:
-    """Word length and (line number, bit pattern) of each codeword line."""
-    rows: list[tuple[int, int]] = []
+def _parse_rows(text: str) -> tuple[int, set[int], list[tuple[int, int]]]:
+    """Word length, distinct bit patterns, and each repeat as (line, pattern).
+
+    One pass over the lines: a repeat is only recorded, so a caller can warn
+    about it once the whole file has been checked.
+    """
+    words: set[int] = set()
+    repeats: list[tuple[int, int]] = []
     length: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -41,29 +46,31 @@ def _parse_rows(text: str) -> tuple[int, list[tuple[int, int]]]:
                 f"row of length {len(line)} in a file of length-{length} rows",
                 line=lineno,
             )
-        rows.append((lineno, int(line, 2)))
+        bits = int(line, 2)
+        if bits in words:
+            repeats.append((lineno, bits))
+        words.add(bits)
     if length is None:
         raise ParseError("no codeword lines found")
-    return length, rows
+    return length, words, repeats
 
 
 def parse_code_file(text: str) -> Code:
-    """Parse a code file; duplicates are dropped with a warning."""
-    n, rows = _parse_rows(text)
-    seen: set[int] = set()
-    for lineno, bits in rows:
-        if bits in seen:
-            warnings.warn(
-                f"duplicate codeword {bits:0{n}b} at line {lineno}", stacklevel=2
-            )
-        seen.add(bits)
-    return Code._from_bits(n, seen)
+    """Parse a code file; each repeated line is dropped with a warning.
+
+    The warnings come after the whole file has been checked, so a file that
+    also has a bad line raises its ParseError and warns nothing.
+    """
+    n, words, repeats = _parse_rows(text)
+    for lineno, bits in repeats:
+        warnings.warn(f"duplicate codeword {bits:0{n}b} at line {lineno}", stacklevel=2)
+    return Code._from_bits(n, words)
 
 
 def parse_gen_file(text: str) -> Code:
     """Parse a generator file and materialize its row space."""
-    n, rows = _parse_rows(text)
-    return _span_code(n, _reduce_bits((b for _, b in rows), n))
+    n, words, _ = _parse_rows(text)
+    return _span_code(n, _reduce_bits(words, n))
 
 
 def code_lines(code: Code) -> list[str]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator
 
 from . import core
@@ -65,7 +64,6 @@ def parity(n: int) -> Code:
     )
 
 
-@lru_cache(maxsize=None)
 def reed_muller(r: int, m: int) -> Code:
     """RM(r, m) by iterating the (u|u+v) construction.
 
@@ -84,6 +82,13 @@ def reed_muller(r: int, m: int) -> Code:
     if r == m:
         return universe(1 << m)
     return plotkin_construct(reed_muller(r, m - 1), reed_muller(r - 1, m - 1))
+
+
+# Nothing is cached: a code built under a higher PLOTKIN_MAX_ENUM would skip
+# the cap check under a lower one, and caching saved no measurable time. The
+# benchmark harness (bench/workloads.py) still binds this at import and calls
+# it before each set-up and timed call, so it stays as a no-op.
+reed_muller.cache_clear = lambda: None
 
 
 def from_generator(rows: list[Word]) -> Code:

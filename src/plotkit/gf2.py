@@ -16,12 +16,13 @@ ENUM_CAP_ENV = "PLOTKIN_MAX_ENUM"
 
 def enumeration_cap() -> int:
     """Current span-enumeration cap in words."""
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_MAX_ENUM
-    cap = int(raw)
+    raw = os.environ.get(ENUM_CAP_ENV, str(DEFAULT_MAX_ENUM))
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0  # refused below with the same message as "0"
     if cap < 1:
-        raise ValueError(f"{ENUM_CAP_ENV} must be positive, got {raw!r}")
+        raise ValueError(f"{ENUM_CAP_ENV} must be a positive integer, got {raw!r}")
     return cap
 
 

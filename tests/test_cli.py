@@ -253,3 +253,12 @@ class TestUsageErrors:
 
     def test_no_arguments(self):
         assert cli_main([]) == 2
+
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_bad_enumeration_cap_is_named(self, raw, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PLOTKIN_MAX_ENUM", raw)
+        out = tmp_path / "u.code"
+        assert cli_main(["family", "universe", "3", "-o", str(out)]) == 2
+        message = f"PLOTKIN_MAX_ENUM must be a positive integer, got {raw!r}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()

@@ -245,3 +245,22 @@ class TestSpanEnumerate:
             span_enumerate(basis)
         monkeypatch.setenv("PLOTKIN_MAX_ENUM", "16")
         assert len(span_enumerate(basis)) == 16
+
+
+class TestEnumerationCap:
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "", "1.5"])
+    def test_not_a_positive_integer_is_named(self, raw, monkeypatch):
+        monkeypatch.setenv("PLOTKIN_MAX_ENUM", raw)
+        message = f"PLOTKIN_MAX_ENUM must be a positive integer, got {raw!r}"
+        with pytest.raises(ValueError) as info:
+            enumeration_cap()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("raw", ["7", " 7 ", "+7", "0_7"])
+    def test_what_int_reads_is_accepted(self, raw, monkeypatch):
+        monkeypatch.setenv("PLOTKIN_MAX_ENUM", raw)
+        assert enumeration_cap() == 7
+
+    def test_unset_is_the_default(self, monkeypatch):
+        monkeypatch.delenv("PLOTKIN_MAX_ENUM", raising=False)
+        assert enumeration_cap() == 1 << 20

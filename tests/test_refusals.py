@@ -25,15 +25,6 @@ BUDGET_S = 0.5
 LENGTH_MESSAGE = f"word length must be in 1..{MAX_LENGTH}, got"
 
 
-@pytest.fixture(autouse=True)
-def fresh_reed_muller():
-    # reed_muller is memoized; a code cached under a higher cap would
-    # be returned without a check.
-    reed_muller.cache_clear()
-    yield
-    reed_muller.cache_clear()
-
-
 def refusal_time(call, match):
     start = time.perf_counter()
     with pytest.raises(ValueError, match=match):
@@ -110,3 +101,11 @@ def test_refuses_one_word_over_the_cap(name, monkeypatch):
     assert refusal_time(call, match) < BUDGET_S
     monkeypatch.setenv("PLOTKIN_MAX_ENUM", str(words))
     assert len(call()) == words
+
+
+def test_reed_muller_rechecks_the_cap_after_a_build_under_a_higher_one(monkeypatch):
+    # No code built under the default cap may come back under a lower one.
+    assert len(reed_muller(1, 7)) == 256
+    monkeypatch.setenv("PLOTKIN_MAX_ENUM", "255")
+    match = "has 256 words, over the enumeration cap of 255"
+    assert refusal_time(lambda: reed_muller(1, 7), match) < BUDGET_S
