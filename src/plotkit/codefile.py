@@ -9,6 +9,7 @@ is canonical: a generated header, then lexicographically sorted lines.
 from __future__ import annotations
 
 import warnings
+from itertools import repeat
 
 from .core import Code, _check_length
 from .gf2 import Gf2Basis, _reduce_bits, _span_code
@@ -22,20 +23,21 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-def _parse_rows(text: str) -> tuple[int, set[int], list[tuple[int, int]]]:
-    """Word length, distinct bit patterns, and each repeat as (line, pattern).
+def _walk(text: str) -> list[tuple[int, str]]:
+    """The per-line reading: (line, row) of each repeat, in file order.
 
-    One pass over the lines: a repeat is only recorded, so a caller can warn
-    about it once the whole file has been checked.
+    It raises the error of the first line that fails a check, so
+    `_parse_rows` calls it only to name that line once a whole-body check
+    has failed, and `parse_code_file` only once the file is known to have
+    repeats. It converts nothing.
     """
-    words: set[int] = set()
-    repeats: list[tuple[int, int]] = []
     length: int | None = None
+    seen: set[str] = set()
+    repeats: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line[0] == "#":
             continue
-        # int(line, 2) alone would also take "_", "+", "0b" and inner spaces.
         if line.strip("01"):
             raise ParseError(f"illegal characters in {line!r}", line=lineno)
         if length is None:
@@ -46,13 +48,32 @@ def _parse_rows(text: str) -> tuple[int, set[int], list[tuple[int, int]]]:
                 f"row of length {len(line)} in a file of length-{length} rows",
                 line=lineno,
             )
-        bits = int(line, 2)
-        if bits in words:
-            repeats.append((lineno, bits))
-        words.add(bits)
-    if length is None:
+        if line in seen:
+            repeats.append((lineno, line))
+        seen.add(line)
+    return repeats
+
+
+def _parse_rows(text: str) -> tuple[int, list[int]]:
+    """Word length and the bit pattern of each codeword line, in file order.
+
+    A valid file costs one character check, one length check and one
+    conversion, each over the whole body. The file is walked line by line
+    only when a check fails, to name the first bad line.
+    """
+    rows = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    if not rows:
         raise ParseError("no codeword lines found")
-    return length, words, repeats
+    lengths = set(map(len, rows))
+    # int(s, 2) alone would take "_", "+", "0b" and non-ASCII digits. Each
+    # survives this byte filter: a non-ASCII character, a lone surrogate
+    # too, is encoded as "?".
+    illegal = "".join(rows).encode("ascii", "replace").translate(None, b"01")
+    if illegal or len(lengths) > 1:
+        _walk(text)  # raises: it names the first bad line
+    n = lengths.pop()
+    _check_length(n)
+    return n, list(map(int, rows, repeat(2)))
 
 
 def parse_code_file(text: str) -> Code:
@@ -61,22 +82,24 @@ def parse_code_file(text: str) -> Code:
     The warnings come after the whole file has been checked, so a file that
     also has a bad line raises its ParseError and warns nothing.
     """
-    n, words, repeats = _parse_rows(text)
-    for lineno, bits in repeats:
-        warnings.warn(f"duplicate codeword {bits:0{n}b} at line {lineno}", stacklevel=2)
-    return Code._from_bits(n, words)
+    n, words = _parse_rows(text)
+    code = Code._from_bits(n, words)
+    if len(code) < len(words):
+        for lineno, line in _walk(text):
+            warnings.warn(f"duplicate codeword {line} at line {lineno}", stacklevel=2)
+    return code
 
 
 def parse_gen_file(text: str) -> Code:
     """Parse a generator file and materialize its row space."""
-    n, words, _ = _parse_rows(text)
+    n, words = _parse_rows(text)
     return _span_code(n, _reduce_bits(words, n))
 
 
 def code_lines(code: Code) -> list[str]:
     """The codewords as bit strings, in the code's sorted order."""
-    fmt = f"0{code.n}b"
-    return [format(b, fmt) for b in code.bit_patterns]
+    top = 1 << code.n  # bin(b | top) is "0b1" then the word, leading zeros kept
+    return [bin(b | top)[3:] for b in code.bit_patterns]
 
 
 def format_code_file(code: Code) -> str:

@@ -1,9 +1,10 @@
 """Text formats: parsing with line-numbered errors, canonical writing, round trips."""
 
 import warnings
+from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plotkit.codefile import (
@@ -13,9 +14,10 @@ from plotkit.codefile import (
     parse_code_file,
     parse_gen_file,
 )
-from plotkit.core import Word, code_from_words
+from plotkit.core import MAX_LENGTH, Code, Word, code_from_words
 from plotkit.families import parity, random_code, reed_muller, universe
-from plotkit.gf2 import Gf2Basis, rref, span_enumerate
+from plotkit.gf2 import Gf2Basis, code_basis, rref, span_enumerate
+from plotkit.plotkin import plotkin_construct
 
 
 def w(s):
@@ -120,6 +122,127 @@ class TestOnePassReading:
         assert messages == [
             f"duplicate codeword {bits:0{n}b} at line {line}" for line, bits in repeats
         ]
+
+
+def reference_read(text):
+    """A naive per-line reader: (code, row space, warnings), or the error.
+
+    Each line is split, stripped and checked on its own, character by
+    character, in file order; the first failed check raises.
+    """
+    rows, seen, messages = [], set(), []
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line == "" or line.startswith("#"):
+            continue
+        if any(ch not in "01" for ch in line):
+            raise ParseError(f"illegal characters in {line!r}", line=number)
+        if not rows and len(line) > MAX_LENGTH:
+            raise ValueError(f"word length must be in 1..{MAX_LENGTH}, got {len(line)}")
+        if rows and len(line) != len(rows[0]):
+            raise ParseError(
+                f"row of length {len(line)} in a file of length-{len(rows[0])} rows",
+                line=number,
+            )
+        if line in seen:
+            messages.append(f"duplicate codeword {line} at line {number}")
+        seen.add(line)
+        rows.append(line)
+    if not rows:
+        raise ParseError("no codeword lines found")
+    n = len(rows[0])
+    space = {0}
+    for row in rows:
+        space |= {x ^ int(row, 2) for x in space}
+    return (
+        code_from_words(Word.from_string(row) for row in rows),
+        code_from_words(Word(n, x) for x in space),
+        messages,
+    )
+
+
+def outcome(read, text):
+    """What a reader gives on `text`: its result or its error, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = read(text)
+        except ValueError as exc:
+            result = (type(exc), str(exc), getattr(exc, "line", None))
+    return result, [str(x.message) for x in caught]
+
+
+# Rows the reader refuses. int(row, 2) reads the first five: "\u0661" is
+# ARABIC-INDIC DIGIT ONE. A lone surrogate has no UTF-8 form.
+BAD_ROWS = ["0_1", "+01", "0b01", "1\u0661", "\u06610", "0 1", "0\ud800", "0x"]
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\u2028"]
+
+
+@st.composite
+def code_files(draw):
+    """Text of a code file: valid rows, repeats, comments, blank lines and
+    padding, with at times a bad, ragged or over-length row among them."""
+    n = draw(st.integers(1, 6))
+    word = st.text("01", min_size=n, max_size=n)
+    rows = draw(st.lists(word, max_size=10))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    rows = list(draw(st.permutations(rows)))
+    faults = st.one_of(
+        st.sampled_from(BAD_ROWS),
+        st.text("01", min_size=1, max_size=8).filter(lambda row: len(row) != n),
+        st.just("1" * (MAX_LENGTH + 1)),
+    )
+    for fault in draw(st.lists(faults, max_size=2)):
+        rows.insert(draw(st.integers(0, len(rows))), fault)
+    padding = st.sampled_from(["", " ", "\t", "\xa0"])
+    filler = st.lists(st.sampled_from(["", "  ", "#", "# note", " #01", "#0_1"]), max_size=2)
+    lines = []
+    for row in rows:
+        lines += draw(filler)
+        lines.append(draw(padding) + row + draw(padding))
+    newline = draw(st.sampled_from(LINE_BREAKS))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class TestWholeFileReading:
+    @settings(max_examples=300, deadline=None)
+    @given(code_files())
+    @example("1" * (MAX_LENGTH + 1) + "\n" + "0" * (MAX_LENGTH + 1) + "\n")
+    @example("1" * (MAX_LENGTH + 1) + "\n0x\n")
+    @example("1\u0661\n" + "1" * (MAX_LENGTH + 1) + "\n")
+    @example("01\n10\n01\n011\n")
+    @example("01\u2028# c\u2028\u2028 10\u2028\u2028 01 \u2028")
+    def test_reader_agrees_with_a_naive_per_line_reference(self, text):
+        try:
+            code, space, messages = reference_read(text)
+        except ValueError as exc:
+            error = (type(exc), str(exc), getattr(exc, "line", None))
+            assert outcome(parse_code_file, text) == (error, [])
+            assert outcome(parse_gen_file, text) == (error, [])
+            return
+        assert outcome(parse_code_file, text) == (code, messages)
+        assert outcome(parse_gen_file, text) == (space, [])
+
+    def test_cli_files_construction_round_trips_byte_for_byte(self):
+        # The benchmark's cli-files shape: two seeded 256-word length-11
+        # codes and their 65,536-word construction.
+        rng = Random(1)
+        a, b = (random_code(11, 256, rng.getrandbits(64), include_zero=True) for _ in "ab")
+        built = plotkin_construct(a, b)
+        text = format_code_file(built)
+        parsed = parse_code_file(text)
+        assert parsed.bit_patterns == built.bit_patterns
+        assert format_code_file(parsed) == text
+
+    def test_a_construction_file_read_as_generators_gives_its_span(self):
+        # Both codes lie in a 9-dimensional subspace, so the span of their
+        # 65,536-word construction (2^18 words) is under the enumeration
+        # cap; a full-rank pair spans 2^22 words, over it.
+        rng = Random(2)
+        a, b = (Code._from_bits(11, rng.sample(range(1 << 9), 256)) for _ in "ab")
+        built = plotkin_construct(a, b)
+        assert parse_gen_file(format_code_file(built)) == span_enumerate(code_basis(built))
 
 
 class TestParseGenFile:
