@@ -44,7 +44,6 @@ from .oracle import kernel_bruteforce, span_bruteforce
 from .plotkin import (
     CodeParams,
     PlotkinReport,
-    kernel_direct,
     plotkin_construct,
     predict_params,
     span_direct,
@@ -75,7 +74,6 @@ __all__ = [
     "kernel",
     "kernel_bruteforce",
     "kernel_dim",
-    "kernel_direct",
     "min_distance",
     "parity",
     "parse_code_file",

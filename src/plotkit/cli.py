@@ -24,7 +24,7 @@ from .codefile import (
 from . import core
 from .core import Code
 from .families import KINDS, _splitmix64, build_family, random_code
-from .gf2 import code_basis, enumeration_cap, span_enumerate
+from .gf2 import _code_rows, _span_code, code_basis, enumeration_cap, span_enumerate
 from .invariants import CodeSummary, dim, kernel, summarize
 from .oracle import BRUTE_KERNEL_MAX_N, kernel_bruteforce, span_bruteforce
 from .plotkin import (
@@ -115,7 +115,7 @@ def _oracle_agrees(c1: Code, c2: Code, code: Code) -> tuple[bool, str]:
     for label, c in (("first input", c1), ("second input", c2), ("construction", code)):
         if c.n <= BRUTE_KERNEL_MAX_N and kernel(c) != kernel_bruteforce(c):
             return False, f"kernel mismatch against brute force on {label}"
-        if span_enumerate(code_basis(c)) != span_bruteforce(c):
+        if _span_code(c.n, _code_rows(c)) != span_bruteforce(c):
             return False, f"span mismatch against closure on {label}"
     return True, ""
 
@@ -182,6 +182,8 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
+    if args.pairs < 0:
+        raise ValueError(f"--pairs must be at least 0, got {args.pairs}")
     if args.max_n < 2:
         raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
     if args.max_n > core.MAX_LENGTH:

@@ -164,14 +164,11 @@ def build_family(kind: str, args: tuple[str, ...]) -> Code:
             raise ValueError(f"reed_muller takes two arguments (r, m), got {len(nums)}")
         return reed_muller(nums[0], nums[1])
     # random
-    if len(nums) == 3:
-        n, M, seed = nums
-        include_zero = False
-    elif len(nums) == 4:
-        n, M, seed, zero_flag = nums
-        include_zero = bool(zero_flag)
-    else:
+    if len(nums) not in (3, 4):
         raise ValueError(
             f"random takes (n, M, seed[, include_zero]), got {len(nums)} arguments"
         )
-    return random_code(n, M, seed, include_zero=include_zero)
+    n, M, seed, zero = [*nums, 0][:4]
+    if zero not in (0, 1):
+        raise ValueError(f"random's include_zero must be 0 or 1, got {zero}")
+    return random_code(n, M, seed, include_zero=zero == 1)

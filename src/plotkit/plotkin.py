@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from .core import Code
 from .gf2 import Gf2Basis, _basis, _code_rows, _reduce_bits, check_enumeration
-from .invariants import CodeSummary, kernel, summarize
+from .invariants import CodeSummary, is_linear, kernel, summarize
 
 
 @dataclass(frozen=True)
@@ -84,15 +84,6 @@ def plotkin_construct(c1: Code, c2: Code) -> Code:
     return Code._from_bits(2 * n, out)
 
 
-def kernel_direct(k1: Code, k2: Code) -> Code:
-    """Kernel of the constructed code assembled from the input kernels.
-
-    Applies the construction map to the kernel sets themselves:
-    {(x|x+y) : x in k1, y in k2}.
-    """
-    return plotkin_construct(k1, k2)
-
-
 def span_direct(b1: Gf2Basis, b2: Gf2Basis) -> Gf2Basis:
     """Span of the constructed code assembled from the input span bases.
 
@@ -109,6 +100,11 @@ def span_direct(b1: Gf2Basis, b2: Gf2Basis) -> Gf2Basis:
 def _direct_rows(rows1, rows2, n: int) -> tuple[int, ...]:
     """span_direct on packed length-n rows."""
     return tuple(_reduce_bits([(r << n) | r for r in rows1] + list(rows2), 2 * n))
+
+
+def _factors(code: Code, c1: Code, c2: Code) -> bool:
+    """True iff code spans what {(x|x+y) : x in c1, y in c2} spans."""
+    return _code_rows(code) == _direct_rows(_code_rows(c1), _code_rows(c2), c1.n)
 
 
 def predict_params(s1: CodeSummary, s2: CodeSummary) -> CodeParams:
@@ -149,11 +145,16 @@ def _verify(c1: Code, c2: Code, code: Code) -> PlotkinReport:
 
     `code` must be plotkin_construct(c1, c2); a caller that needs the code
     too passes it in, so it is built and analysed only once. Every number
-    compared is read from the summaries of the three codes; only the two
-    factorization equalities build sets, or canonical RREF rows.
+    compared is read from the summaries of the three codes. Both
+    factorization equalities compare canonical RREF rows: the span of
+    `code` against that of {(x|x+y)} over the inputs, and its kernel
+    against the same map over the input kernels. Each kernel is first
+    checked to be its own span, |K| = 2^rank(K), so equal rows mean equal
+    sets and a kernel that is not a subspace fails Theorem I.
     """
-    theorem_i = kernel(code) == kernel_direct(kernel(c1), kernel(c2))
-    theorem_ii = _code_rows(code) == _direct_rows(_code_rows(c1), _code_rows(c2), c1.n)
+    kernels = kernel(code), kernel(c1), kernel(c2)
+    theorem_i = all(map(is_linear, kernels)) and _factors(*kernels)
+    theorem_ii = _factors(code, c1, c2)
 
     s1, s2, s = summarize(c1), summarize(c2), summarize(code)
     corollary_i = s.ker_dim == s1.ker_dim + s2.ker_dim

@@ -64,14 +64,31 @@ def nonlinear_pair():
     )
 
 
-def test_verify_reduces_four_times_and_scans_three_kernels(work):
+def small_files(tmp_path):
+    """Two code files small enough for the closure oracle; 12 * 6 = 72
+    words in the construction, nonlinear."""
+    paths = []
+    for name, m, seed in (("a.code", 12, 103), ("b.code", 6, 104)):
+        path = tmp_path / name
+        path.write_text(format_code_file(random_code(5, m, seed, include_zero=True)))
+        paths.append(str(path))
+    return paths
+
+
+def test_verify_reduces_eight_times_and_scans_three_kernels(work):
     c1, c2 = nonlinear_pair()
     assert verify_plotkin(c1, c2).all_checks_hold
-    # c1, c2, the constructed code and the direct span's generators
-    assert work["reductions"] == 4
+    # c1, c2, the constructed code, the direct span's generators, the
+    # three kernels and the direct kernel's generators: eight distinct
+    # codes or row lists, each reduced once
+    assert work["reductions"] == 8
     # c1, c2 and the constructed code
     assert work["kernel scans"] == 3
     assert work["distance searches"] == 3
+    # each code is reduced at most once: reading them again does no work
+    for c in (c1, c2, kernel(c1), kernel(c2)):
+        rank(c)
+    assert work["reductions"] == 8
 
 
 @pytest.fixture
@@ -89,13 +106,15 @@ def built(monkeypatch):
     return counts
 
 
-def test_verify_builds_no_word_or_basis(built):
+def test_verify_builds_no_word_or_basis(built, tmp_path):
     c1, c2 = nonlinear_pair()
     assert verify_plotkin(c1, c2).all_checks_hold
     # out of the hypothesis too: one word (u|u+v) spans less than the
     # direct rows (u|u) and (0|v)
     lone = Code._from_bits(9, [3]), Code._from_bits(9, [5])
     assert not verify_plotkin(*lone).theorem_ii_holds
+    # nor does the command line, with its oracles
+    assert cli_main(["verify", "--oracle", *small_files(tmp_path)]) == 0
     assert built == {}
     # the counters see a basis that is built
     code_basis(c1)
@@ -104,14 +123,10 @@ def test_verify_builds_no_word_or_basis(built):
 
 @pytest.mark.parametrize("flags", [[], ["--oracle"]])
 def test_cli_verify_analyses_the_constructed_code_once(work, tmp_path, flags):
-    # small enough for the closure oracle; 12 * 6 = 72 words, nonlinear
-    paths = []
-    for name, m, seed in (("a.code", 12, 103), ("b.code", 6, 104)):
-        path = tmp_path / name
-        path.write_text(format_code_file(random_code(5, m, seed, include_zero=True)))
-        paths.append(str(path))
-    assert cli_main(["verify", *flags, *paths]) == 0
-    assert work == {"reductions": 4, "kernel scans": 3, "distance searches": 3}
+    assert cli_main(["verify", *flags, *small_files(tmp_path)]) == 0
+    # the three codes and their three kernels, and the direct generators
+    # of the span and of the kernel
+    assert work == {"reductions": 8, "kernel scans": 3, "distance searches": 3}
 
 
 def test_summaries_after_verify_do_no_new_work(work):

@@ -215,6 +215,13 @@ class TestCorpus:
             assert record["hypothesis_ok"] is True
             assert record["theorem_i_holds"] is True
 
+    def test_negative_pairs_are_refused(self, capsys):
+        argv = ["corpus", "--pairs", "-5", "--seed", "1", "--max-n", "4"]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --pairs must be at least 0, got -5\n"
+        assert captured.out == ""
+
     def test_max_n_validation(self, capsys):
         assert cli_main(["corpus", "--pairs", "1", "--seed", "1", "--max-n", "1"]) == 2
 
@@ -250,6 +257,15 @@ class TestUsageErrors:
     def test_family_arity_error(self, tmp_path):
         out = tmp_path / "o.code"
         assert cli_main(["family", "repetition", "2", "3", "-o", str(out)]) == 2
+
+    @pytest.mark.parametrize("flag", ["7", "-1", "2"])
+    def test_random_family_zero_flag_is_0_or_1(self, flag, tmp_path, capsys):
+        out = tmp_path / "r.code"
+        argv = ["family", "random", "4", "3", "1", flag, "-o", str(out)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: random's include_zero must be 0 or 1, got {flag}\n"
+        assert not out.exists()
 
     def test_no_arguments(self):
         assert cli_main([]) == 2

@@ -126,6 +126,9 @@ class TestFamilySpec:
         assert build_family("random", ("5", "6", "11", "1")) == random_code(
             5, 6, seed=11, include_zero=True
         )
+        assert build_family("random", ("5", "6", "11", "0")) == random_code(
+            5, 6, seed=11
+        )
 
     def test_from_generator(self):
         built = build_family("from_generator", ("11", "01"))
@@ -141,6 +144,9 @@ class TestFamilySpec:
             build_family("reed_muller", ("x", "3"))
         with pytest.raises(ValueError):
             build_family("random", ("5",))
+        for flag in ("7", "-1", "2"):
+            with pytest.raises(ValueError, match=f"must be 0 or 1, got {flag}$"):
+                build_family("random", ("5", "6", "11", flag))
         with pytest.raises(ValueError):
             build_family("from_generator", ())
 

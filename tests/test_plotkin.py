@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plotkit.core import MAX_LENGTH, Code, Word, code_from_words, translate
-from plotkit.families import _splitmix64, random_code, repetition, universe
-from plotkit.gf2 import Gf2Basis, code_basis, rref, span_enumerate
+import plotkit.plotkin as plotkin
+from plotkit.families import _splitmix64, random_code, reed_muller, repetition, universe
+from plotkit.gf2 import Gf2Basis, _code_rows, code_basis, rref, span_enumerate
 from plotkit.invariants import is_linear, kernel, min_distance, rank, summarize
 from plotkit.plotkin import (
     CodeParams,
-    kernel_direct,
+    _verify,
     plotkin_construct,
     predict_params,
     span_direct,
@@ -83,19 +84,23 @@ class TestConstruct:
 
 
 class TestKernelDirect:
+    """The construction map applied to the input kernels: {(x|x+y)}."""
+
     def test_running_example(self):
-        built = kernel_direct(code("00"), code("00", "11"))
+        c1, c2 = code("00", "01", "10"), code("00", "11")
+        built = plotkin_construct(kernel(c1), kernel(c2))
         assert built == code("0000", "0011")
-        constructed = plotkin_construct(code("00", "01", "10"), code("00", "11"))
-        assert built == kernel(constructed)
+        assert built == kernel(plotkin_construct(c1, c2))
 
     def test_zero_singletons(self):
-        assert kernel_direct(
-            code_from_words([Word.zero(2)]), code_from_words([Word.zero(2)])
-        ) == code_from_words([Word.zero(4)])
+        zero = code_from_words([Word.zero(2)])
+        assert plotkin_construct(kernel(zero), kernel(zero)) == code_from_words(
+            [Word.zero(4)]
+        )
 
     def test_full_kernels_give_full_kernel(self):
-        assert kernel_direct(universe(2), universe(2)) == universe(4)
+        u = universe(2)
+        assert plotkin_construct(kernel(u), kernel(u)) == universe(4)
 
 
 class TestSpanDirect:
@@ -254,6 +259,34 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_plotkin(code("00"), code("000"))
 
+    def test_builds_the_construction_once(self, monkeypatch):
+        calls = []
+
+        def counted(c1, c2):
+            calls.append((c1, c2))
+            return plotkin_construct(c1, c2)
+
+        monkeypatch.setattr(plotkin, "plotkin_construct", counted)
+        c1, c2 = reed_muller(1, 3), random_code(8, 20, seed=7, include_zero=True)
+        assert plotkin.verify_plotkin(c1, c2).all_checks_hold
+        assert calls == [(c1, c2)]
+
+    def test_a_kernel_missing_one_word_fails_theorem_i(self, monkeypatch):
+        c1, c2 = reed_muller(1, 3), random_code(8, 20, seed=7, include_zero=True)
+        code = plotkin_construct(c1, c2)
+        assert _verify(c1, c2, code).theorem_i_holds
+        full = kernel(code)
+        # drop the largest word, which is nonzero; at dimension 4 or more the
+        # rest still spans the kernel, so its rows alone would match
+        short = Code._from_bits(code.n, full.bit_patterns[:-1])
+        assert _code_rows(short) == _code_rows(full)
+        monkeypatch.setattr(
+            plotkin, "kernel", lambda c: short if c is code else kernel(c)
+        )
+        report = _verify(c1, c2, code)
+        assert not report.theorem_i_holds
+        assert report.theorem_ii_holds and not report.ok
+
 
 @st.composite
 def input_pairs(draw):
@@ -278,3 +311,28 @@ def test_span_flag_matches_the_basis_comparison(pair):
     assert verify_plotkin(c1, c2).theorem_ii_holds == reference
     if c1.contains_zero() and c2.contains_zero():
         assert reference
+
+
+@st.composite
+def kernel_pairs(draw):
+    """input_pairs, or RM(1,3), a 4-dimensional kernel, beside a random code."""
+    if draw(st.booleans()):
+        return draw(input_pairs())
+    zero = draw(st.booleans())
+    m = draw(st.integers(1, 255))
+    other = random_code(8, m, draw(st.integers(0, 1 << 32)), include_zero=zero)
+    return draw(st.permutations([reed_muller(1, 3), other]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_pairs())
+def test_kernel_flag_matches_the_set_comparison(pair):
+    c1, c2 = pair
+    # the comparison of sets that the canonical rows replace
+    reference = kernel(plotkin_construct(c1, c2)) == plotkin_construct(
+        kernel(c1), kernel(c2)
+    )
+    assert verify_plotkin(c1, c2).theorem_i_holds == reference
+    # (u, v) -> (u|u+v) is a bijection of GF(2)^2n, so Theorem I needs no
+    # zero word: the kernels factor on every pair
+    assert reference
