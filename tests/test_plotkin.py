@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plotkit.core import MAX_LENGTH, Code, Word, code_from_words, translate
 import plotkit.plotkin as plotkin
+from plotkit.core import MAX_LENGTH, Code, Word, code_from_words, translate
 from plotkit.families import _splitmix64, random_code, reed_muller, repetition, universe
 from plotkit.gf2 import Gf2Basis, _code_rows, code_basis, rref, span_enumerate
 from plotkit.invariants import is_linear, kernel, min_distance, rank, summarize
@@ -268,7 +268,7 @@ class TestVerify:
 
         monkeypatch.setattr(plotkin, "plotkin_construct", counted)
         c1, c2 = reed_muller(1, 3), random_code(8, 20, seed=7, include_zero=True)
-        assert plotkin.verify_plotkin(c1, c2).all_checks_hold
+        assert verify_plotkin(c1, c2).all_checks_hold
         assert calls == [(c1, c2)]
 
     def test_a_kernel_missing_one_word_fails_theorem_i(self, monkeypatch):
