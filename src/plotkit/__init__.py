@@ -40,7 +40,7 @@ from .invariants import (
     rank,
     summarize,
 )
-from .oracle import kernel_bruteforce, span_bruteforce
+from .oracle import distance_bruteforce, kernel_bruteforce, span_bruteforce
 from .plotkin import (
     CodeParams,
     PlotkinReport,
@@ -64,6 +64,7 @@ __all__ = [
     "code_basis",
     "code_from_words",
     "concat",
+    "distance_bruteforce",
     "enumeration_cap",
     "format_basis_file",
     "format_code_file",

@@ -25,8 +25,15 @@ from . import core
 from .core import Code
 from .families import KINDS, _splitmix64, build_family, random_code
 from .gf2 import _code_rows, _span_code, code_basis, enumeration_cap, span_enumerate
-from .invariants import CodeSummary, dim, kernel, summarize
-from .oracle import BRUTE_KERNEL_MAX_N, kernel_bruteforce, span_bruteforce
+from .invariants import CodeSummary, dim, kernel, min_distance, summarize
+from .oracle import (
+    BRUTE_DISTANCE_MAX_PAIRS,
+    BRUTE_KERNEL_MAX_N,
+    distance_bruteforce,
+    kernel_bruteforce,
+    pair_count,
+    span_bruteforce,
+)
 from .plotkin import (
     CodeParams,
     PlotkinReport,
@@ -111,10 +118,14 @@ def _cmd_span(args: argparse.Namespace) -> int:
 
 
 def _oracle_agrees(c1: Code, c2: Code, code: Code) -> tuple[bool, str]:
-    """Cross-check the fast kernel and span paths against the naive ones."""
+    """Cross-check the fast kernel, distance and span paths against the naive ones."""
     for label, c in (("first input", c1), ("second input", c2), ("construction", code)):
         if c.n <= BRUTE_KERNEL_MAX_N and kernel(c) != kernel_bruteforce(c):
             return False, f"kernel mismatch against brute force on {label}"
+        if 1 <= pair_count(c) <= BRUTE_DISTANCE_MAX_PAIRS and (
+            min_distance(c) != distance_bruteforce(c)
+        ):
+            return False, f"distance mismatch against pair scan on {label}"
         if _span_code(c.n, _code_rows(c)) != span_bruteforce(c):
             return False, f"span mismatch against closure on {label}"
     return True, ""

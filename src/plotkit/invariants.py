@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress, islice, pairwise
-from operator import add, mul, sub
+from itertools import combinations, islice, pairwise
 
 from .core import Code
 from .gf2 import _code_rows, _reduce_bits, _span, enumeration_cap
@@ -115,52 +114,29 @@ def _below(blocks, n: int, t: int) -> int:
     return t
 
 
-# The highest rank at which the span path was measured faster: at ranks 17
-# and 18 with d = 2 the block search beat the transforms 1.4-3.4x (118
-# against 402 ms, 222 against 309 ms). The path's lists of 2^r ints are
-# bounded by the enumeration cap, which `_spans_small` reads.
+# The span path lists all 2^r span words; this bounds that list at 65,536
+# ints whatever the enumeration cap, which `_spans_small` also reads.
 _SPAN_MAX_RANK = 16
 
 
-def _xor_transform(v: list[int]) -> list[int]:
-    """Walsh-Hadamard transform of a list of 2^r ints, in place.
-
-    Level h (a power of two) adds and subtracts each entry whose index has
-    the bit h clear and the entry h above it. The pairs are taken as h
-    strided slices while h is small and as the halves of each 2h block
-    after, so that a level makes about sqrt(2^r) slices at most and the
-    additions run in `map`.
-    """
-    n, h = len(v), 1
-    while h < n:
-        step = 2 * h
-        if h <= n // step:
-            for o in range(h):
-                a, b = v[o::step], v[o + h :: step]
-                v[o::step], v[o + h :: step] = map(add, a, b), map(sub, a, b)
-        else:
-            for i in range(0, n, step):
-                a, b = v[i : i + h], v[i + h : i + step]
-                v[i : i + h], v[i + h : i + step] = map(add, a, b), map(sub, a, b)
-        h = step
-    return v
-
-
-def _span_distance(code: Code, rows) -> int:
+def _span_distance(code: Code, rows, t: int) -> int:
     """Least distance between two of the codewords, read from their span.
 
-    Span word i is the sum of the rows that the bits of i select, and the
-    code is the 0/1 vector f over GF(2)^r of its members among them. Its
-    xor autocorrelation, f*f(x) = |C & (C + x)|, is nonzero exactly where
-    x is a difference of two codewords, and is found as the inverse
-    transform of the squared transform of f. The work is set by the rank
-    and the size of the code, whatever its distance.
+    Every difference of two codewords lies in the span of the rows, so d
+    is the least weight of a nonzero span word x with C & (C + x)
+    nonempty. A distance t occurs, so only the span words lighter than t
+    are tested, lightest first, each with one pass over the code; the
+    first that hits is d, and t is d when none does. When those tests
+    would cost more than a pair scan, the block search runs instead.
     """
-    span = _span(rows)
-    spectrum = _xor_transform(list(map(code._bits.__contains__, span)))
-    found = _xor_transform(list(map(mul, spectrum, spectrum)))
-    # Index 0 is the zero difference of each word with itself.
-    return min(map(int.bit_count, compress(span[1:], found[1:])))
+    members, patterns, m = code._bits, code.bit_patterns, len(code)
+    light = [x for x in _span(rows) if 0 < x.bit_count() < t]
+    if len(light) * m > m * (m - 1) // 2:
+        return _least(patterns, code.n, t)
+    for x in sorted(light, key=int.bit_count):
+        if not members.isdisjoint(map(x.__xor__, patterns)):
+            return x.bit_count()
+    return t
 
 
 def min_distance(code: Code) -> int:
@@ -174,9 +150,11 @@ def min_distance(code: Code) -> int:
       occurs. A pair at distance 1 ends the search there.
     - Span: a code of rank r <= 16 with 4r * 2^r <= M(M-1)/2 is dense in
       its span, and d is read from the span: the least weight of a nonzero
-      span word x with C & (C + x) nonempty, found for all x at once by
-      two Walsh-Hadamard transforms. Its cost is set by r and M alone, so
-      codes of one shape take one time whatever their d.
+      span word x with C & (C + x) nonempty. Only the span words lighter
+      than t are tested, lightest first, one pass over the code each; if
+      none hits, d = t. When the light words times M exceed M(M-1)/2, the
+      block search below runs instead, so no code costs more than a pair
+      scan.
 
     Any other code is searched by blocks of coordinates, comparing only
     the pairs that can beat the bound:
@@ -214,17 +192,19 @@ def _distance(code: Code) -> int:
     if t == 1:
         return 1
     if _spans_small(rank(code), len(patterns)):
-        return _span_distance(code, _code_rows(code))
+        return _span_distance(code, _code_rows(code), t)
     return _least(patterns, code.n, t)
 
 
 def _spans_small(r: int, m: int) -> bool:
-    """True when transforming the 2^r-word span costs a quarter of a pair scan or less.
+    """True when the 2^r-word span is small against the M(M-1)/2 pairs of the code.
 
-    A level of the transform costs about as much as one comparison per
-    word of the span. The block search often costs a small part of the
-    scan, so the span takes over only well below it, and never when its
-    2^r-entry lists would pass the enumeration cap.
+    That is r <= 16, 4r * 2^r <= M(M-1)/2, and 2^r within the enumeration
+    cap. Listing the span and weighing its words takes about 2^r steps,
+    and `_span_distance` keeps its tests to a pair scan at most. The block
+    search often costs a small part of the scan, so the span takes over
+    only well below it: on the corpus, the looser bounds 2^r <= M(M-1)/8
+    and 2^r <= M(M-1)/2 spent more time in distance than this one.
     """
     cheap = r <= _SPAN_MAX_RANK and 4 * (r << r) <= m * (m - 1) // 2
     return cheap and 1 << r <= enumeration_cap()

@@ -1,17 +1,26 @@
 """Deliberately naive reference implementations used as ground truth.
 
-These scan the whole space (kernel) or run the closure to a fixpoint
-(span) straight from the definitions, with no candidate restriction, no
-elimination, and no shortcuts. They ship in the library so CLI users can
-reproduce any cross-check themselves.
+These scan the whole space (kernel) or every pair of words (distance), or
+run the closure to a fixpoint (span), straight from the definitions, with
+no candidate restriction, no elimination, and no shortcuts. They ship in
+the library so CLI users can reproduce any cross-check themselves.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .core import Code
 from .gf2 import ENUM_CAP_ENV, enumeration_cap
 
 BRUTE_KERNEL_MAX_N = 16
+# About half a second of pair comparisons.
+BRUTE_DISTANCE_MAX_PAIRS = 1 << 22
+
+
+def pair_count(code: Code) -> int:
+    """The number of unordered pairs of distinct codewords."""
+    return len(code) * (len(code) - 1) // 2
 
 
 def kernel_bruteforce(code: Code) -> Code:
@@ -28,6 +37,16 @@ def kernel_bruteforce(code: Code) -> Code:
         if all((c ^ x) in members for c in patterns):
             kept.append(x)
     return Code._from_bits(code.n, kept)
+
+
+def distance_bruteforce(code: Code) -> int:
+    """Least Hamming distance over every unordered pair of codewords."""
+    if not 1 <= pair_count(code) <= BRUTE_DISTANCE_MAX_PAIRS:
+        raise ValueError(
+            f"brute-force distance compares every pair; {pair_count(code)} "
+            f"pairs is outside 1..{BRUTE_DISTANCE_MAX_PAIRS}"
+        )
+    return min((a ^ b).bit_count() for a, b in combinations(code.bit_patterns, 2))
 
 
 def span_bruteforce(code: Code) -> Code:

@@ -129,6 +129,18 @@ class TestVerify:
         assert cli_main(["verify", "--oracle", a, b]) == 0
         assert "oracle cross-check" in capsys.readouterr().out
 
+    def test_oracle_mode_catches_a_wrong_distance(
+        self, files, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "min_distance", lambda c: 5)
+        a = files("a.code", code("000", "011", "101"))
+        b = files("b.code", code("000", "111"))
+        bundle = ["--bundle-dir", str(tmp_path / "bundle")]
+        assert cli_main(["verify", "--oracle", a, b, *bundle]) == 1
+        captured = capsys.readouterr()
+        assert "oracle cross-check          FAIL" in captured.out
+        assert "distance mismatch against pair scan on first input" in captured.err
+
     def test_out_of_hypothesis_exits_zero(self, files, capsys):
         a = files("a.code", code("01", "10"))
         b = files("b.code", code("00", "11"))

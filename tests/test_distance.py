@@ -237,62 +237,109 @@ def test_min_distance_matches_naive(c):
     assert min_distance(c) == naive_min(c)
 
 
+class ProbeCounter(frozenset):
+    """A code's member set that counts the difference probes made on it."""
+
+    probes = 0
+
+    def isdisjoint(self, other):
+        self.probes += 1
+        return frozenset.isdisjoint(self, other)
+
+
+def counting_probes(c: Code) -> ProbeCounter:
+    c._bits = ProbeCounter(c._bits)
+    return c._bits
+
+
 @pytest.fixture
-def transforms(monkeypatch):
-    """The rank of each span transformed so far."""
+def spans(monkeypatch):
+    """The rank of each span enumerated so far."""
     ranks = []
-    real = invariants._xor_transform
+    real = invariants._span
 
-    def counted(v):
-        ranks.append(len(v).bit_length() - 1)
-        return real(v)
+    def counted(rows):
+        ranks.append(len(rows))
+        return real(rows)
 
-    monkeypatch.setattr(invariants, "_xor_transform", counted)
+    monkeypatch.setattr(invariants, "_span", counted)
     return ranks
+
+
+def even_weight_17() -> Code:
+    """Every even weight word of length 17 but zero: rank 16, 65,535 words, d = 2."""
+    words = [w << 1 | (w.bit_count() & 1) for w in range(1, 1 << 16)]
+    return Code._from_bits(17, words)
 
 
 class TestSpanPath:
     # The three constructions have one shape, 4,257 words of rank 14, and
     # d = 2, 3 and 4 (TestWorstCases checks d against the naive minimum).
-    # The bound pass stops early only at distance 1, and the span path
-    # transforms the same 2^14 counts twice, so the work does not depend
-    # on d.
+    # The bound pass finds d itself, and no span word is lighter, so the
+    # span is listed once and no difference is probed.
     @pytest.mark.parametrize(("seed", "d"), [(1, 2), (3, 3), (30, 4)])
     def test_near_linear_construction_takes_the_same_work_for_every_d(
-        self, compared, transforms, seed, d
+        self, compared, spans, seed, d
     ):
         c = plotkin_construct(*near_linear_pair(seed))
+        members = counting_probes(c)
         assert min_distance(c) == d
-        assert transforms == [14, 14]
+        assert spans == [14]
+        assert members.probes == 0
         assert compared[0] == 2 * (len(c) - 1)
 
-    def test_a_rank_16_code(self, transforms):
-        # Every even weight word of length 17 but zero: rank 16, the
-        # largest span the path takes, with 65,535 words and d = 2.
-        words = [w << 1 | (w.bit_count() & 1) for w in range(1, 1 << 16)]
-        c = Code._from_bits(17, words)
+    def test_a_rank_16_code(self, spans):
+        # The largest span the path takes; it has no word of weight 1.
+        c = even_weight_17()
+        members = counting_probes(c)
         assert min_distance(c) == 2
-        assert transforms == [16, 16]
+        assert spans == [16]
+        assert members.probes == 0
 
-    def test_a_rank_18_code_read_directly(self, transforms):
-        # 19 words of rank 18, past the path's bound, so _span_distance is
-        # called directly. Each span word is its own sum of the 18 rows, so
-        # the two words at distance 7 are found; folding the top two
-        # coefficient bits away would report 5.
+    def test_a_difference_under_the_bound_is_found_by_a_probe(self, spans):
+        # RM(2,4) plus two words 2 apart: the bound pass finds only t = 4,
+        # and 24 span words are lighter. Testing them, lightest first, finds
+        # d = 2.
+        c = plus(reed_muller(2, 4), 0x75A8, 0x37A8)
+        assert invariants._upper_bound(c.bit_patterns) == 4
+        members = counting_probes(c)
+        assert min_distance(c) == naive_min(c) == 2
+        assert spans == [13]
+        assert 1 <= members.probes <= 24
+
+    def test_a_rank_18_code_read_directly(self, monkeypatch):
+        # 19 words of rank 18 and t = 8: 8,359 span words are lighter than
+        # t, and testing each against 19 words would cost more than the 171
+        # pairs, so the block search runs with the bound t. Called directly,
+        # past the path's rank bound.
         c = random_code(24, 19, seed=3, include_zero=True)
         assert invariants.rank(c) == 18
-        assert invariants._span_distance(c, invariants._code_rows(c)) == 7
-        assert naive_min(c) == 7
-        assert transforms == [18, 18]
+        t = invariants._upper_bound(c.bit_patterns)
+        assert t == 8
+        rows = invariants._code_rows(c)
+        light = [x for x in invariants._span(rows) if 0 < x.bit_count() < t]
+        assert len(light) == 8359 and len(light) * 19 > all_pairs(c) == 171
+        bounds = []
+        least = invariants._least
 
-    def test_the_span_path_obeys_the_enumeration_cap(self, transforms, monkeypatch):
-        # The rank-16 code above, with a cap of 1,000 words: its 65,536-entry
-        # span lists are not built, and the block search finds d.
-        words = [w << 1 | (w.bit_count() & 1) for w in range(1, 1 << 16)]
-        c = Code._from_bits(17, words)
+        def counted(patterns, n, t):
+            bounds.append(t)
+            return least(patterns, n, t)
+
+        monkeypatch.setattr(invariants, "_least", counted)
+        members = counting_probes(c)
+        assert invariants._span_distance(c, rows, t) == 7
+        assert naive_min(c) == 7
+        assert bounds[0] == 8
+        assert members.probes == 0
+
+    def test_the_span_path_obeys_the_enumeration_cap(self, spans, monkeypatch):
+        # The rank-16 code above, with a cap of 1,000 words: its 65,536-word
+        # span is not listed, and the block search finds d.
+        c = even_weight_17()
         monkeypatch.setenv("PLOTKIN_MAX_ENUM", "1000")
         assert min_distance(c) == 2
-        assert transforms == []
+        assert spans == []
 
     def test_the_span_path_stops_at_rank_16(self):
         # Above rank 16 the span's list is not built, whatever the code's size.
@@ -303,5 +350,6 @@ class TestSpanPath:
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(random_subsets(max_n=10), linear_plus_words(), constructions()))
 def test_span_distance_matches_naive(c):
-    # Called directly, so every drawn code takes the span path.
-    assert invariants._span_distance(c, invariants._code_rows(c)) == naive_min(c)
+    # Called directly, so every drawn code takes the span path or its guard.
+    t = invariants._upper_bound(c.bit_patterns)
+    assert invariants._span_distance(c, invariants._code_rows(c), t) == naive_min(c)

@@ -5,8 +5,13 @@ import pytest
 from plotkit.core import Word, code_from_words
 from plotkit.families import _splitmix64, random_code
 from plotkit.gf2 import rref, span_enumerate
-from plotkit.invariants import kernel
-from plotkit.oracle import kernel_bruteforce, span_bruteforce
+from plotkit.invariants import kernel, min_distance
+from plotkit.oracle import (
+    BRUTE_DISTANCE_MAX_PAIRS,
+    distance_bruteforce,
+    kernel_bruteforce,
+    span_bruteforce,
+)
 
 
 def w(s):
@@ -43,6 +48,23 @@ class TestKernelBruteforce:
     def test_agrees_with_fast_kernel(self):
         for c in seeded_codes(0xC1, 120):
             assert kernel_bruteforce(c) == kernel(c)
+
+
+class TestDistanceBruteforce:
+    def test_three_word_code(self):
+        assert distance_bruteforce(code("000", "011", "111")) == 1
+
+    def test_pair_cap(self):
+        # 2897 words make just over 2^22 pairs; one word makes none.
+        with pytest.raises(ValueError, match=str(BRUTE_DISTANCE_MAX_PAIRS)):
+            distance_bruteforce(random_code(12, 2897, seed=1))
+        with pytest.raises(ValueError, match="0 pairs"):
+            distance_bruteforce(code("01"))
+
+    def test_agrees_with_fast_distance(self):
+        for c in seeded_codes(0xC4, 120):
+            if len(c) > 1:
+                assert distance_bruteforce(c) == min_distance(c)
 
 
 class TestSpanBruteforce:
