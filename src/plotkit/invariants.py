@@ -114,23 +114,26 @@ def _below(blocks, n: int, t: int) -> int:
     return t
 
 
-# The span path lists all 2^r span words; this bounds that list at 65,536
-# ints whatever the enumeration cap, which `_spans_small` also reads.
-_SPAN_MAX_RANK = 16
-
-
 def _span_distance(code: Code, rows, t: int) -> int:
     """Least distance between two of the codewords, read from their span.
 
-    Every difference of two codewords lies in the span of the rows, so d
-    is the least weight of a nonzero span word x with C & (C + x)
-    nonempty. A distance t occurs, so only the span words lighter than t
-    are tested, lightest first, each with one pass over the code; the
+    `rows` are the code's RREF rows. Every difference of two codewords
+    lies in their span, so d is the least weight of a nonzero span word x
+    with C & (C + x) nonempty. A distance t occurs, so only the span words
+    lighter than t are tested. Each RREF row holds a pivot that no other
+    row has, so a sum of j rows weighs at least j, and every span word
+    lighter than t is a sum of fewer than t rows: only those sums are
+    listed, sums[j] holding the sums of j rows, one xor each. The light
+    ones are tested lightest first, each with one pass over the code; the
     first that hits is d, and t is d when none does. When those tests
     would cost more than a pair scan, the block search runs instead.
     """
     members, patterns, m = code._bits, code.bit_patterns, len(code)
-    light = [x for x in _span(rows) if 0 < x.bit_count() < t]
+    sums = [[0]] + [[] for _ in range(1, t)]
+    for row in rows:
+        for j in range(t - 1, 0, -1):
+            sums[j] += [s ^ row for s in sums[j - 1]]
+    light = [x for group in sums[1:] for x in group if x.bit_count() < t]
     if len(light) * m > m * (m - 1) // 2:
         return _least(patterns, code.n, t)
     for x in sorted(light, key=int.bit_count):
@@ -148,13 +151,14 @@ def min_distance(code: Code) -> int:
     - Bound: comparing the first codeword with every other, then each
       codeword with the next in sorted order, gives a distance t that
       occurs. A pair at distance 1 ends the search there.
-    - Span: a code of rank r <= 16 with 4r * 2^r <= M(M-1)/2 is dense in
-      its span, and d is read from the span: the least weight of a nonzero
+    - Span: a code of rank r with 4r * 2^r <= M(M-1)/2 is dense in its
+      span, and d is read from the span: the least weight of a nonzero
       span word x with C & (C + x) nonempty. Only the span words lighter
-      than t are tested, lightest first, one pass over the code each; if
-      none hits, d = t. When the light words times M exceed M(M-1)/2, the
-      block search below runs instead, so no code costs more than a pair
-      scan.
+      than t are tested, and each is a sum of fewer than t of the code's
+      RREF rows, so only those sums are listed. They are tested lightest
+      first, one pass over the code each; if none hits, d = t. When the
+      light words times M exceed M(M-1)/2, the block search below runs
+      instead, so no code costs more than a pair scan.
 
     Any other code is searched by blocks of coordinates, comparing only
     the pairs that can beat the bound:
@@ -199,15 +203,15 @@ def _distance(code: Code) -> int:
 def _spans_small(r: int, m: int) -> bool:
     """True when the 2^r-word span is small against the M(M-1)/2 pairs of the code.
 
-    That is r <= 16, 4r * 2^r <= M(M-1)/2, and 2^r within the enumeration
-    cap. Listing the span and weighing its words takes about 2^r steps,
-    and `_span_distance` keeps its tests to a pair scan at most. The block
-    search often costs a small part of the scan, so the span takes over
-    only well below it: on the corpus, the looser bounds 2^r <= M(M-1)/8
-    and 2^r <= M(M-1)/2 spent more time in distance than this one.
+    That is 4r * 2^r <= M(M-1)/2, and 2^r within the enumeration cap,
+    which bounds the sums of fewer than t rows that `_span_distance`
+    lists, since there are at most 2^r of them. That path keeps its tests
+    to a pair scan at most. The block search often costs a small part of
+    the scan, so the span takes over only well below it: on the corpus,
+    the looser bounds 2^r <= M(M-1)/8 and 2^r <= M(M-1)/2 spent more time
+    in distance than this one.
     """
-    cheap = r <= _SPAN_MAX_RANK and 4 * (r << r) <= m * (m - 1) // 2
-    return cheap and 1 << r <= enumeration_cap()
+    return 4 * (r << r) <= m * (m - 1) // 2 and 1 << r <= enumeration_cap()
 
 
 def _kernel_scan(code: Code) -> Code:

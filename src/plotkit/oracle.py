@@ -16,6 +16,8 @@ from .gf2 import ENUM_CAP_ENV, enumeration_cap
 BRUTE_KERNEL_MAX_N = 16
 # About half a second of pair comparisons.
 BRUTE_DISTANCE_MAX_PAIRS = 1 << 22
+# Closing a span of 2^11 words pairs at most (2^11)^2 = 2^22 sums.
+BRUTE_SPAN_MAX_WORDS = 1 << 11
 
 
 def pair_count(code: Code) -> int:

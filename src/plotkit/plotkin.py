@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .core import Code
+from .core import Code, _check_length
 from .gf2 import Gf2Basis, _basis, _code_rows, _reduce_bits, check_enumeration
 from .invariants import CodeSummary, is_linear, kernel, summarize
 
@@ -68,10 +68,12 @@ def plotkin_construct(c1: Code, c2: Code) -> Code:
 
     The map (u, v) -> (u|u+v) is injective (the left half recovers u, the
     right half then recovers v), so the result has exactly |c1|*|c2| words;
-    that count is checked against the enumeration cap before any is built.
+    that count is checked against the enumeration cap, and the length 2n
+    against the word length limit, before any is built.
     """
     if c1.n != c2.n:
         raise ValueError(f"length mismatch: {c1.n} != {c2.n}")
+    _check_length(2 * c1.n)
     check_enumeration(
         len(c1) * len(c2), f"(u|u+v) of {len(c1)}- and {len(c2)}-word codes"
     )

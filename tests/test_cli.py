@@ -9,7 +9,7 @@ import plotkit.cli as cli
 import plotkit.core as core
 from plotkit.cli import cli_main
 from plotkit.codefile import format_code_file, parse_code_file
-from plotkit.core import Word, code_from_words
+from plotkit.core import Code, Word, code_from_words
 from plotkit.families import random_code
 from plotkit.plotkin import PlotkinReport, _verify, verify_plotkin
 
@@ -141,6 +141,58 @@ class TestVerify:
         assert "oracle cross-check          FAIL" in captured.out
         assert "distance mismatch against pair scan on first input" in captured.err
 
+    def test_oracle_mode_catches_a_wrong_kernel(
+        self, files, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "kernel", lambda c: c)
+        a = files("a.code", code("000", "011", "101"))
+        b = files("b.code", code("000", "111"))
+        bundle = ["--bundle-dir", str(tmp_path / "bundle")]
+        assert cli_main(["verify", "--oracle", a, b, *bundle]) == 1
+        captured = capsys.readouterr()
+        assert "oracle cross-check          FAIL" in captured.out
+        assert "kernel mismatch against brute force on first input" in captured.err
+
+    def test_oracle_mode_catches_a_wrong_span(
+        self, files, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "_span_code", lambda n, rows: Code._from_bits(n, [0]))
+        a = files("a.code", code("000", "011", "101"))
+        b = files("b.code", code("000", "111"))
+        bundle = ["--bundle-dir", str(tmp_path / "bundle")]
+        assert cli_main(["verify", "--oracle", a, b, *bundle]) == 1
+        captured = capsys.readouterr()
+        assert "oracle cross-check          FAIL" in captured.out
+        assert "span mismatch against closure on first input" in captured.err
+
+    def test_oracle_mode_closes_no_span_over_2_to_the_11_words(
+        self, files, capsys, monkeypatch
+    ):
+        # Rank-6 inputs give a rank-12 construction, whose 4,096-word span
+        # would take up to 2^24 sums to close: only the inputs are closed.
+        closed, close = [], cli.span_bruteforce
+
+        def counted(c):
+            closed.append(c.n)
+            return close(c)
+
+        monkeypatch.setattr(cli, "span_bruteforce", counted)
+        units = [1 << i for i in range(6)]
+        a = files("a.code", Code._from_bits(6, [0, *units]))
+        b = files("b.code", Code._from_bits(6, [0, *(u ^ 0b111111 for u in units)]))
+        assert cli_main(["verify", "--oracle", a, b]) == 0
+        assert "oracle cross-check          pass" in capsys.readouterr().out
+        assert closed == [6, 6]
+
+    def test_oracle_mode_skips_a_span_over_the_cap(self, files, capsys, monkeypatch):
+        # Under a cap of 64 words the rank-7 construction's span is neither
+        # listed nor closed; the rank-4 and rank-3 inputs are still checked.
+        monkeypatch.setenv("PLOTKIN_MAX_ENUM", "64")
+        a = files("a.code", code("0000", "0011", "0101", "1001", "1110"))
+        b = files("b.code", code("0000", "0111", "1011", "1101"))
+        assert cli_main(["verify", "--oracle", a, b]) == 0
+        assert "oracle cross-check          pass" in capsys.readouterr().out
+
     def test_out_of_hypothesis_exits_zero(self, files, capsys):
         a = files("a.code", code("01", "10"))
         b = files("b.code", code("00", "11"))
@@ -234,20 +286,40 @@ class TestCorpus:
         assert captured.err == "error: --pairs must be at least 0, got -5\n"
         assert captured.out == ""
 
+    def test_failures_are_counted(self, capsys, monkeypatch):
+        real, calls = cli.verify_plotkin, []
+
+        def second_fails(c1, c2):
+            calls.append(1)
+            report = real(c1, c2)
+            return replace(report, params_hold=False) if len(calls) == 2 else report
+
+        monkeypatch.setattr(cli, "verify_plotkin", second_fails)
+        assert cli_main(["corpus", "--pairs", "3", "--seed", "9", "--max-n", "5"]) == 1
+        assert "corpus: 2/3 pairs ok (seed=9)" in capsys.readouterr().out
+
     def test_max_n_validation(self, capsys):
         assert cli_main(["corpus", "--pairs", "1", "--seed", "1", "--max-n", "1"]) == 2
 
     def test_max_n_over_the_length_limit(self, capsys):
         argv = ["corpus", "--pairs", "1", "--seed", "1", "--max-n", "4097"]
         assert cli_main(argv) == 2
-        assert "--max-n must be at most 4096, got 4097" in capsys.readouterr().err
+        assert "--max-n must be at most 2048, got 4097" in capsys.readouterr().err
+
+    def test_max_n_over_half_the_length_limit_prints_nothing(self, capsys):
+        # (u|u+v) doubles n, so a length-4096 input could not be built on.
+        argv = ["corpus", "--pairs", "3", "--seed", "1", "--max-n", "4096"]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-n must be at most 2048, got 4096\n"
 
     def test_max_n_reads_the_length_limit_at_call_time(self, capsys, monkeypatch):
         # core.MAX_LENGTH may be rebound; the check must not keep the old value.
         monkeypatch.setattr(core, "MAX_LENGTH", 8)
         argv = ["corpus", "--pairs", "1", "--seed", "1", "--max-n", "9"]
         assert cli_main(argv) == 2
-        assert "--max-n must be at most 8, got 9" in capsys.readouterr().err
+        assert "--max-n must be at most 4, got 9" in capsys.readouterr().err
 
 
 class TestUsageErrors:

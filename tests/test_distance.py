@@ -7,6 +7,7 @@ neighbours) and the pair scan that runs inside each group of words and as
 the fallback. So the gate is a count, not a time.
 """
 
+import tracemalloc
 from functools import reduce
 from itertools import combinations
 from operator import xor
@@ -140,6 +141,26 @@ class TestWorstCases:
         assert invariants._upper_bound(c.bit_patterns) == 4
         assert min_distance(c) == naive_min(c) == 1
 
+    def test_groups_holding_every_pair_fall_back_to_the_scan(self, monkeypatch):
+        # 30 even weight words of length 6 in the low half of length 12:
+        # rank 5 keeps them off the span path, and t = 2 splits the 12
+        # coordinates into two blocks. The high block is zero on every
+        # word, so its one group holds all 435 pairs, and they are scanned.
+        even = [w for w in range(64) if w.bit_count() % 2 == 0][2:]
+        c = Code._from_bits(12, even)
+        assert invariants.rank(c) == 5
+        assert invariants._upper_bound(c.bit_patterns) == 2
+        scanned = []
+        scan = invariants._scan_pairs
+
+        def counted(patterns):
+            scanned.append(len(patterns))
+            return scan(patterns)
+
+        monkeypatch.setattr(invariants, "_scan_pairs", counted)
+        assert min_distance(c) == naive_min(c) == 2
+        assert scanned == [30]
+
     # The seeds give d = 2, 3 and 4; d = 4 takes the most blocks.
     @pytest.mark.parametrize("seed", [1, 3, 30])
     def test_near_linear_construction(self, compared, seed):
@@ -266,45 +287,72 @@ def spans(monkeypatch):
     return ranks
 
 
+@pytest.fixture
+def sums(monkeypatch):
+    """A one-item list holding the row sums listed so far.
+
+    The code's RREF rows are handed out as `Row`s, and every sum costs one
+    xor s ^ row with a plain int s, which Python sends to `Row.__rxor__`.
+    """
+    count = [0]
+    real = invariants._code_rows
+
+    class Row(int):
+        def __rxor__(self, other):
+            count[0] += 1
+            return int(self) ^ other
+
+    monkeypatch.setattr(invariants, "_code_rows", lambda c: tuple(map(Row, real(c))))
+    return count
+
+
+def even_weight(n: int) -> Code:
+    """Every even weight word of length n but zero: rank n - 1, d = 2."""
+    words = [w << 1 | (w.bit_count() & 1) for w in range(1, 1 << (n - 1))]
+    return Code._from_bits(n, words)
+
+
 def even_weight_17() -> Code:
-    """Every even weight word of length 17 but zero: rank 16, 65,535 words, d = 2."""
-    words = [w << 1 | (w.bit_count() & 1) for w in range(1, 1 << 16)]
-    return Code._from_bits(17, words)
+    """Rank 16, 65,535 words."""
+    return even_weight(17)
 
 
 class TestSpanPath:
     # The three constructions have one shape, 4,257 words of rank 14, and
     # d = 2, 3 and 4 (TestWorstCases checks d against the naive minimum).
     # The bound pass finds d itself, and no span word is lighter, so the
-    # span is listed once and no difference is probed.
+    # sums of fewer than d of the 14 rows are listed, 14, 105 and 469 of
+    # them, and no difference is probed.
     @pytest.mark.parametrize(("seed", "d"), [(1, 2), (3, 3), (30, 4)])
     def test_near_linear_construction_takes_the_same_work_for_every_d(
-        self, compared, spans, seed, d
+        self, compared, spans, sums, seed, d
     ):
         c = plotkin_construct(*near_linear_pair(seed))
         members = counting_probes(c)
         assert min_distance(c) == d
-        assert spans == [14]
+        assert sums == [{2: 14, 3: 105, 4: 469}[d]]
+        assert spans == []
         assert members.probes == 0
         assert compared[0] == 2 * (len(c) - 1)
 
-    def test_a_rank_16_code(self, spans):
-        # The largest span the path takes; it has no word of weight 1.
+    def test_a_rank_16_code(self, spans, sums):
+        # t = 2, so only the 16 rows are listed; none has weight 1.
         c = even_weight_17()
         members = counting_probes(c)
         assert min_distance(c) == 2
-        assert spans == [16]
+        assert sums == [16]
+        assert spans == []
         assert members.probes == 0
 
-    def test_a_difference_under_the_bound_is_found_by_a_probe(self, spans):
-        # RM(2,4) plus two words 2 apart: the bound pass finds only t = 4,
-        # and 24 span words are lighter. Testing them, lightest first, finds
-        # d = 2.
+    def test_a_difference_under_the_bound_is_found_by_a_probe(self, sums):
+        # RM(2,4) plus two words 2 apart: rank 13, and the bound pass finds
+        # only t = 4. The 377 sums of 1 to 3 rows hold 24 span words lighter
+        # than t. Testing them, lightest first, finds d = 2.
         c = plus(reed_muller(2, 4), 0x75A8, 0x37A8)
         assert invariants._upper_bound(c.bit_patterns) == 4
         members = counting_probes(c)
         assert min_distance(c) == naive_min(c) == 2
-        assert spans == [13]
+        assert sums == [377]
         assert 1 <= members.probes <= 24
 
     def test_a_rank_18_code_read_directly(self, monkeypatch):
@@ -341,10 +389,30 @@ class TestSpanPath:
         assert min_distance(c) == 2
         assert spans == []
 
-    def test_the_span_path_stops_at_rank_16(self):
-        # Above rank 16 the span's list is not built, whatever the code's size.
-        assert invariants._spans_small(16, (1 << 16) - 1)
-        assert not invariants._spans_small(17, (1 << 17) - 1)
+    def test_a_rank_17_code_takes_the_span_path(self, monkeypatch, sums):
+        # No rank bound beside the cap: 131,071 words of rank 17 are read
+        # from their 17 rows, and the block search never runs.
+        c = even_weight(18)
+        monkeypatch.setattr(invariants, "_least", None)
+        assert min_distance(c) == 2
+        assert sums == [17]
+
+    def test_a_sparse_rank_20_code_never_lists_its_span(self, monkeypatch):
+        # 13,000 of the 2^20 even weight words of length 21 just meet the
+        # density rule. Their span's 2^20 words would take tens of MB; only
+        # the few sums of fewer than t rows are listed. About 17,000 of
+        # their pairs are 2 apart, so d = 2.
+        words = Random(1).sample(range(1, 1 << 20), 13_000)
+        c = Code._from_bits(21, [w << 1 | (w.bit_count() & 1) for w in words])
+        assert invariants.rank(c) == 20
+        monkeypatch.setattr(invariants, "_least", None)
+        tracemalloc.start()
+        try:
+            assert min_distance(c) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,7 @@
 """Construction behavior: direct kernel/span assembly vs. independent measurement."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +83,18 @@ class TestConstruct:
         half = Code._from_bits(MAX_LENGTH // 2 + 1, [0])
         with pytest.raises(ValueError, match=f"word length must be in 1..{MAX_LENGTH}"):
             plotkin_construct(half, half)
+
+    def test_refuses_a_long_construction_before_building(self):
+        # 40,000 words of length 4,200 would take over 20 MB to build.
+        c1, c2 = (random_code(2100, 200, seed=s) for s in (1, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"must be in 1..{MAX_LENGTH}, got 4200"):
+                plotkin_construct(c1, c2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestKernelDirect:
