@@ -121,7 +121,13 @@ def _cmd_span(args: argparse.Namespace) -> int:
 def _oracle_agrees(c1: Code, c2: Code, code: Code) -> tuple[bool, str]:
     """Cross-check the fast kernel, distance and span paths against the naive ones."""
     for label, c in (("first input", c1), ("second input", c2), ("construction", code)):
-        if c.n <= BRUTE_KERNEL_MAX_N and kernel(c) != kernel_bruteforce(c):
+        # The kernel oracle makes up to 2^n + M^2 probes, as each x stops
+        # at its first miss; the distance check's pair budget bounds M^2.
+        if (
+            c.n <= BRUTE_KERNEL_MAX_N
+            and pair_count(c) <= BRUTE_DISTANCE_MAX_PAIRS
+            and kernel(c) != kernel_bruteforce(c)
+        ):
             return False, f"kernel mismatch against brute force on {label}"
         if 1 <= pair_count(c) <= BRUTE_DISTANCE_MAX_PAIRS and (
             min_distance(c) != distance_bruteforce(c)

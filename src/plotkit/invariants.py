@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice, pairwise
+from math import comb
 
 from .core import Code
 from .gf2 import _code_rows, _reduce_bits, _span, enumeration_cap
@@ -151,14 +152,15 @@ def min_distance(code: Code) -> int:
     - Bound: comparing the first codeword with every other, then each
       codeword with the next in sorted order, gives a distance t that
       occurs. A pair at distance 1 ends the search there.
-    - Span: a code of rank r with 4r * 2^r <= M(M-1)/2 is dense in its
-      span, and d is read from the span: the least weight of a nonzero
-      span word x with C & (C + x) nonempty. Only the span words lighter
-      than t are tested, and each is a sum of fewer than t of the code's
-      RREF rows, so only those sums are listed. They are tested lightest
-      first, one pass over the code each; if none hits, d = t. When the
-      light words times M exceed M(M-1)/2, the block search below runs
-      instead, so no code costs more than a pair scan.
+    - Span: d is the least weight of a nonzero span word x with
+      C & (C + x) nonempty. Only the span words lighter than t are
+      tested, and each is a sum of fewer than t of the code's r RREF
+      rows. The S = sum over j < t of C(r, j) such sums are listed when
+      S <= M(M-1)/2 and S is within the enumeration cap, which thus
+      bounds what is built. The light ones are tested lightest first, one
+      pass over the code each; if none hits, d = t. When the light words
+      times M exceed M(M-1)/2, the block search below runs instead, so no
+      code costs more than about two pair scans.
 
     Any other code is searched by blocks of coordinates, comparing only
     the pairs that can beat the bound:
@@ -195,28 +197,16 @@ def _distance(code: Code) -> int:
     t = _upper_bound(patterns)
     if t == 1:
         return 1
-    if _spans_small(rank(code), len(patterns)):
+    # The span path lists the sums of fewer than t RREF rows. It runs when
+    # they number no more than the pairs, and then only within the cap.
+    sums = sum(comb(len(_code_rows(code)), j) for j in range(t))
+    if sums <= len(code) * (len(code) - 1) // 2 and sums <= enumeration_cap():
         return _span_distance(code, _code_rows(code), t)
     return _least(patterns, code.n, t)
 
 
-def _spans_small(r: int, m: int) -> bool:
-    """True when the 2^r-word span is small against the M(M-1)/2 pairs of the code.
-
-    That is 4r * 2^r <= M(M-1)/2, and 2^r within the enumeration cap,
-    which bounds the sums of fewer than t rows that `_span_distance`
-    lists, since there are at most 2^r of them. That path keeps its tests
-    to a pair scan at most. The block search often costs a small part of
-    the scan, so the span takes over only well below it: on the corpus,
-    the looser bounds 2^r <= M(M-1)/8 and 2^r <= M(M-1)/2 spent more time
-    in distance than this one.
-    """
-    return 4 * (r << r) <= m * (m - 1) // 2 and 1 << r <= enumeration_cap()
-
-
 def _kernel_scan(code: Code) -> Code:
-    patterns = code.bit_patterns
-    members = code._bits
+    patterns, members = code.bit_patterns, code._bits
     c0 = patterns[0]
     # Candidate x = b ^ c0 is kept as its codeword b: the survivors are
     # existing patterns, never a second full-size set. Every pass keeps
@@ -256,9 +246,8 @@ def _complement(code: Code) -> Code | None:
     C0 holds zero, so its kernel lies in S, and x in S fixes C0 exactly
     when it fixes S - C0: the two have the kernel of C.
     """
-    patterns, m = code.bit_patterns, len(code)
+    patterns, m, rows = code.bit_patterns, len(code), _code_rows(code)
     c0 = patterns[0]
-    rows = _code_rows(code)
     # Without the zero word, C0 may span one dimension less than C.
     if c0 and not _near_full(len(rows), m) and _near_full(len(rows) - 1, m):
         rows = _reduce_bits([b ^ c0 for b in patterns], code.n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .core import Code
-from .gf2 import ENUM_CAP_ENV, enumeration_cap
+from .gf2 import check_enumeration
 
 BRUTE_KERNEL_MAX_N = 16
 # About half a second of pair comparisons.
@@ -56,18 +56,17 @@ def span_bruteforce(code: Code) -> Code:
 
     Each round only pairs the previous round's new elements against the
     accumulated set; every unordered pair is still covered by the round
-    in which its later member appeared.
+    in which its later member appeared. The cap is checked as each new
+    element's sums join the round, so the sets outgrow it by one sum row
+    at most before the closure is refused.
     """
-    cap = enumeration_cap()
     closed = set(code._bits)
     frontier = set(code._bits)
     while frontier:
-        if len(closed) > cap:
-            raise ValueError(
-                f"span closure exceeded the enumeration cap of {cap} words "
-                f"(set {ENUM_CAP_ENV} to raise it)"
-            )
-        new = {a ^ b for a in frontier for b in closed} - closed
+        new = set()
+        for a in frontier:
+            new |= {a ^ b for b in closed} - closed
+            check_enumeration(len(closed) + len(new), "span closure")
         closed |= new
         frontier = new
     return Code._from_bits(code.n, closed)

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, output formats, and the 0/1/2 exit codes."""
 
 import json
+import time
 from dataclasses import asdict, fields, replace
 
 import pytest
@@ -10,7 +11,7 @@ import plotkit.core as core
 from plotkit.cli import cli_main
 from plotkit.codefile import format_code_file, parse_code_file
 from plotkit.core import Code, Word, code_from_words
-from plotkit.families import random_code
+from plotkit.families import random_code, universe
 from plotkit.plotkin import PlotkinReport, _verify, verify_plotkin
 
 
@@ -183,6 +184,27 @@ class TestVerify:
         assert cli_main(["verify", "--oracle", a, b]) == 0
         assert "oracle cross-check          pass" in capsys.readouterr().out
         assert closed == [6, 6]
+
+    def test_oracle_mode_scans_no_kernel_past_the_pair_budget(
+        self, files, capsys, monkeypatch
+    ):
+        # universe(7) with itself gives 16,384 words of length 14, whose
+        # 134,209,536 pairs are past the distance check's budget: neither
+        # the pair scan nor the 2^14 translations run on them, and the two
+        # 128-word inputs are still checked.
+        scanned, scan = [], cli.kernel_bruteforce
+
+        def counted(c):
+            scanned.append(len(c))
+            return scan(c)
+
+        monkeypatch.setattr(cli, "kernel_bruteforce", counted)
+        u = files("u.code", universe(7))
+        start = time.perf_counter()
+        assert cli_main(["verify", "--oracle", u, u]) == 0
+        assert time.perf_counter() - start < 2
+        assert "oracle cross-check          pass" in capsys.readouterr().out
+        assert scanned == [128, 128]
 
     def test_oracle_mode_skips_a_span_over_the_cap(self, files, capsys, monkeypatch):
         # Under a cap of 64 words the rank-7 construction's span is neither

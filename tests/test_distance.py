@@ -16,6 +16,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import coset_unions
 
 import plotkit.invariants as invariants
 from plotkit.core import Code, Word
@@ -132,24 +133,37 @@ class TestWorstCases:
         assert min_distance(c) == 3
         assert compared[0] <= all_pairs(c) // 4
 
-    def test_bound_lowered_twice(self):
+    def test_bound_lowered_twice(self, monkeypatch):
         # The bound pass finds only Hamming pairs at distance 4. 119 is at
         # distance 2 and 2303 at distance 1 from their nearest codewords:
         # the 4 blocks find a pair at distance 2 first, and only the 2
-        # blocks made after that find the pair at distance 1.
+        # blocks made after that find the pair at distance 1. min_distance
+        # reads this code from its span, so the block search is called
+        # directly.
         c = plus(Code._from_bits(12, HAMMING_12), 119, 2303)
         assert invariants._upper_bound(c.bit_patterns) == 4
         assert min_distance(c) == naive_min(c) == 1
+        made, blocks = [], invariants._blocks
+
+        def counted(patterns, n, t):
+            made.append(t)
+            return blocks(patterns, n, t)
+
+        monkeypatch.setattr(invariants, "_blocks", counted)
+        assert invariants._least(c.bit_patterns, c.n, 4) == 1
+        assert made == [4, 2]
 
     def test_groups_holding_every_pair_fall_back_to_the_scan(self, monkeypatch):
         # 30 even weight words of length 6 in the low half of length 12:
-        # rank 5 keeps them off the span path, and t = 2 splits the 12
-        # coordinates into two blocks. The high block is zero on every
-        # word, so its one group holds all 435 pairs, and they are scanned.
+        # rank 5 and t = 2, so the span path would list S = 1 + 5 = 6 sums;
+        # a cap of 5 keeps them off it. t = 2 splits the 12 coordinates
+        # into two blocks. The high block is zero on every word, so its one
+        # group holds all 435 pairs, and they are scanned.
         even = [w for w in range(64) if w.bit_count() % 2 == 0][2:]
         c = Code._from_bits(12, even)
         assert invariants.rank(c) == 5
         assert invariants._upper_bound(c.bit_patterns) == 2
+        monkeypatch.setenv("PLOTKIN_MAX_ENUM", "5")
         scanned = []
         scan = invariants._scan_pairs
 
@@ -161,7 +175,7 @@ class TestWorstCases:
         assert min_distance(c) == naive_min(c) == 2
         assert scanned == [30]
 
-    # The seeds give d = 2, 3 and 4; d = 4 takes the most blocks.
+    # The seeds give d = 2, 3 and 4; d = 4 lists the most row sums.
     @pytest.mark.parametrize("seed", [1, 3, 30])
     def test_near_linear_construction(self, compared, seed):
         c = plotkin_construct(*near_linear_pair(seed))
@@ -252,10 +266,27 @@ def constructions(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(random_subsets(), linear_plus_words(), far_apart(), constructions()))
+@given(
+    st.one_of(
+        random_subsets(),
+        linear_plus_words(),
+        far_apart(),
+        constructions(),
+        coset_unions().map(lambda drawn: drawn[0]),
+    )
+)
 def test_min_distance_matches_naive(c):
     assert 2 <= len(c) <= 80 and c.n <= 12
     assert min_distance(c) == naive_min(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_subsets(), linear_plus_words(), far_apart(), constructions()))
+def test_block_search_matches_naive(c):
+    # Called directly: most of these codes are dense in their span, and
+    # min_distance reads them from it.
+    t = invariants._upper_bound(c.bit_patterns)
+    assert invariants._least(c.bit_patterns, c.n, t) == naive_min(c)
 
 
 class ProbeCounter(frozenset):
@@ -358,8 +389,9 @@ class TestSpanPath:
     def test_a_rank_18_code_read_directly(self, monkeypatch):
         # 19 words of rank 18 and t = 8: 8,359 span words are lighter than
         # t, and testing each against 19 words would cost more than the 171
-        # pairs, so the block search runs with the bound t. Called directly,
-        # past the path's rank bound.
+        # pairs, so the block search runs with the bound t. Called directly:
+        # min_distance lists no sums here, as the 63,004 sums of fewer than
+        # 8 rows outnumber the pairs.
         c = random_code(24, 19, seed=3, include_zero=True)
         assert invariants.rank(c) == 18
         t = invariants._upper_bound(c.bit_patterns)
@@ -381,13 +413,25 @@ class TestSpanPath:
         assert bounds[0] == 8
         assert members.probes == 0
 
-    def test_the_span_path_obeys_the_enumeration_cap(self, spans, monkeypatch):
-        # The rank-16 code above, with a cap of 1,000 words: its 65,536-word
-        # span is not listed, and the block search finds d.
-        c = even_weight_17()
-        monkeypatch.setenv("PLOTKIN_MAX_ENUM", "1000")
-        assert min_distance(c) == 2
-        assert spans == []
+    def test_the_span_path_obeys_the_enumeration_cap(self, monkeypatch, sums):
+        # The rank-16 code above has t = 2, so the span path lists S = 17
+        # sums: zero and the 16 rows, one xor each. A cap of 16 sends it to
+        # the block search; a cap of 17 lists them, and no block is made.
+        searched = []
+        least = invariants._least
+
+        def counted(patterns, n, t):
+            searched.append(t)
+            return least(patterns, n, t)
+
+        monkeypatch.setattr(invariants, "_least", counted)
+        monkeypatch.setenv("PLOTKIN_MAX_ENUM", "16")
+        assert min_distance(even_weight_17()) == 2
+        assert sums == [0] and searched[0] == 2
+        searched.clear()
+        monkeypatch.setenv("PLOTKIN_MAX_ENUM", "17")
+        assert min_distance(even_weight_17()) == 2
+        assert sums == [16] and searched == []
 
     def test_a_rank_17_code_takes_the_span_path(self, monkeypatch, sums):
         # No rank bound beside the cap: 131,071 words of rank 17 are read
@@ -398,10 +442,10 @@ class TestSpanPath:
         assert sums == [17]
 
     def test_a_sparse_rank_20_code_never_lists_its_span(self, monkeypatch):
-        # 13,000 of the 2^20 even weight words of length 21 just meet the
-        # density rule. Their span's 2^20 words would take tens of MB; only
-        # the few sums of fewer than t rows are listed. About 17,000 of
-        # their pairs are 2 apart, so d = 2.
+        # 13,000 of the 2^20 even weight words of length 21, with t = 2.
+        # Their span's 2^20 words would take tens of MB; only the 21 sums of
+        # fewer than 2 rows are listed. About 17,000 of their pairs are 2
+        # apart, so d = 2.
         words = Random(1).sample(range(1, 1 << 20), 13_000)
         c = Code._from_bits(21, [w << 1 | (w.bit_count() & 1) for w in words])
         assert invariants.rank(c) == 20

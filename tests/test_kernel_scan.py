@@ -14,6 +14,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import coset_unions
 
 import plotkit.invariants as invariants
 from plotkit.cli import cli_main
@@ -254,8 +255,11 @@ def large_kernel_codes(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_codes())
-def test_kernel_matches_bruteforce(c):
+@given(st.one_of(small_codes().map(lambda c: (c, 0)), coset_unions()))
+def test_kernel_matches_bruteforce(drawn):
+    # A union of cosets of a k-dimensional space has it in its kernel.
+    c, k = drawn
+    assert dim(kernel(c)) >= k
     assert kernel(c) == kernel_bruteforce(c)
 
 

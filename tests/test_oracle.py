@@ -1,17 +1,20 @@
 """Brute-force oracles and their agreement with the fast paths."""
 
+import tracemalloc
+
 import pytest
 
 from plotkit.core import Word, code_from_words
 from plotkit.families import _splitmix64, random_code
 from plotkit.gf2 import rref, span_enumerate
-from plotkit.invariants import kernel, min_distance
+from plotkit.invariants import kernel, min_distance, rank
 from plotkit.oracle import (
     BRUTE_DISTANCE_MAX_PAIRS,
     distance_bruteforce,
     kernel_bruteforce,
     span_bruteforce,
 )
+from plotkit.plotkin import plotkin_construct
 
 
 def w(s):
@@ -90,3 +93,21 @@ class TestSpanBruteforce:
         monkeypatch.setenv("PLOTKIN_MAX_ENUM", "4")
         with pytest.raises(ValueError, match="cap of 4"):
             span_bruteforce(code("1000", "0100", "0010", "0001"))
+
+    def test_closure_refuses_before_it_allocates(self, monkeypatch):
+        # 4,096 words of length 24 and rank 24: the first round alone would
+        # pair every word with every other.
+        c = plotkin_construct(
+            random_code(12, 64, 1, include_zero=True),
+            random_code(12, 64, 2, include_zero=True),
+        )
+        assert len(c) == 4096 and rank(c) == 24
+        monkeypatch.setenv("PLOTKIN_MAX_ENUM", "8192")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap of 8192"):
+                span_bruteforce(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import coset_unions
 
 import plotkit.plotkin as plotkin
 from plotkit.core import MAX_LENGTH, Code, Word, code_from_words, translate
@@ -329,9 +330,14 @@ def test_span_flag_matches_the_basis_comparison(pair):
 
 @st.composite
 def kernel_pairs(draw):
-    """input_pairs, or RM(1,3), a 4-dimensional kernel, beside a random code."""
-    if draw(st.booleans()):
+    """input_pairs; two coset unions of one length, whose kernels hold their
+    subspaces; or RM(1,3), a 4-dimensional kernel, beside a random code."""
+    kind = draw(st.sampled_from(["random", "coset_unions", "reed_muller"]))
+    if kind == "random":
         return draw(input_pairs())
+    if kind == "coset_unions":
+        n = draw(st.integers(1, 8))
+        return [draw(coset_unions(n))[0] for _ in range(2)]
     zero = draw(st.booleans())
     m = draw(st.integers(1, 255))
     other = random_code(8, m, draw(st.integers(0, 1 << 32)), include_zero=zero)
