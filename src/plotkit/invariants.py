@@ -63,55 +63,37 @@ def _upper_bound(patterns) -> int:
     return best if best == 1 else min(best, _closest(pairwise(patterns)))
 
 
-def _blocks(patterns, n: int, t: int) -> list[tuple[int, int, list[list[int]]]]:
-    """The n coordinates split into t contiguous blocks [lo, hi).
+def _groups(patterns, n: int, t: int) -> list[list[int]]:
+    """The groups of two or more words that agree on one of t blocks.
 
-    Each block comes with the groups of two or more words that agree on it.
+    The n coordinates are split into t contiguous blocks [a, b), in
+    coordinate order; coordinate 0 is the highest bit.
     """
-    blocks = []
-    for lo, hi in pairwise(n * i // t for i in range(t + 1)):
-        mask = ((1 << (hi - lo)) - 1) << lo
-        groups: dict[int, list[int]] = {}
+    groups = []
+    for a, b in pairwise(n * i // t for i in range(t + 1)):
+        mask = (1 << (n - a)) - (1 << (n - b))
+        block: dict[int, list[int]] = {}
         for w in patterns:
-            groups.setdefault(w & mask, []).append(w)
-        blocks.append((lo, hi, [g for g in groups.values() if len(g) > 1]))
-    return blocks
-
-
-def _pairs(block) -> int:
-    return sum(len(g) * (len(g) - 1) // 2 for g in block[2])
+            block.setdefault(w & mask, []).append(w)
+        groups += [g for g in block.values() if len(g) > 1]
+    return groups
 
 
 def _least(patterns, n: int, t: int) -> int:
     """min(t, least distance between two of the distinct length-n patterns)."""
+    all_pairs = len(patterns) * (len(patterns) - 1) // 2
     while t > 1:
-        all_pairs = len(patterns) * (len(patterns) - 1) // 2
         # Putting a word in a group costs about as much as four pair
         # comparisons, and t blocks put every word in t groups.
         if 4 * t * len(patterns) >= all_pairs:
             return min(t, _scan_pairs(patterns))
-        blocks = _blocks(patterns, n, t)
-        # Inside a group t can exceed n; an empty block then puts every
-        # word in one group, and the scan runs.
-        if sum(map(_pairs, blocks)) >= all_pairs:
+        groups = _groups(patterns, n, t)
+        if sum(len(g) * (len(g) - 1) // 2 for g in groups) >= all_pairs:
             return min(t, _scan_pairs(patterns))
-        below = _below(blocks, n, t)
+        below = next((d for g in groups if (d := _scan_pairs(g)) < t), t)
         if below == t:
             return t
         t = below
-    return t
-
-
-def _below(blocks, n: int, t: int) -> int:
-    """The first distance under t within a group, cheapest block first; else t."""
-    for lo, hi, groups in sorted(blocks, key=_pairs):
-        low = (1 << lo) - 1
-        for g in groups:
-            # The group agrees on [lo, hi): dropping those coordinates
-            # keeps its words distinct, in order and as far apart.
-            d = _least([((w >> hi) << lo) | (w & low) for w in g], n - (hi - lo), t)
-            if d < t:
-                return d
     return t
 
 
@@ -168,10 +150,9 @@ def min_distance(code: Code) -> int:
     - Pigeonhole: two words at distance under t differ in at most t - 1
       coordinates, so they agree on at least one of t disjoint blocks. The
       n coordinates are split into t contiguous blocks, the words are
-      grouped by their value on each block, and only words in one group
-      are compared, the block with the fewest such pairs first. A large
-      group drops its shared block and is searched the same way.
-    - Re-block: a pair under t found in a group lowers the bound, and the
+      grouped by their value on each block, and every group of two or
+      more words is scanned pair by pair.
+    - Re-block: the first group distance under t lowers the bound, and the
       blocks are made again for it. A full pass over the t blocks that
       finds no pair under t proves that d = t.
     - Fallback: every pair is compared when putting each of the M words in

@@ -1,10 +1,13 @@
-"""Minimum distance by coordinate blocks: exact on drawn codes, far from
-quadratic on its known worst cases.
+"""Minimum distance from the span or by coordinate blocks: exact on drawn
+codes, far from quadratic on its known worst cases.
 
-Pairs compared are counted by wrapping the two private helpers that compare
-pairs: the bound pass (the first word against every other, then sorted
-neighbours) and the pair scan that runs inside each group of words and as
-the fallback. So the gate is a count, not a time.
+The block search splits the coordinates into t blocks, groups the words by
+their value on each block, and scans each group pair by pair; a group
+distance under t lowers t, and the blocks are made again. Pairs compared are
+counted by wrapping the two private helpers that compare pairs: the bound
+pass (the first word against every other, then sorted neighbours) and the
+pair scan that runs inside each group of words and as the fallback. So the
+gate is a count, not a time.
 """
 
 import tracemalloc
@@ -135,23 +138,44 @@ class TestWorstCases:
 
     def test_bound_lowered_twice(self, monkeypatch):
         # The bound pass finds only Hamming pairs at distance 4. 119 is at
-        # distance 2 and 2303 at distance 1 from their nearest codewords:
-        # the 4 blocks find a pair at distance 2 first, and only the 2
-        # blocks made after that find the pair at distance 1. min_distance
-        # reads this code from its span, so the block search is called
-        # directly.
+        # distance 2 and 2303 at distance 1 from their nearest codewords.
+        # The first group of the 4 blocks, the words that are 0 on
+        # coordinates 0 to 2, holds 119 but not 2303: it gives 2, and only
+        # the 2 blocks made after that find the pair at distance 1.
+        # min_distance reads this code from its span, so the block search
+        # is called directly.
         c = plus(Code._from_bits(12, HAMMING_12), 119, 2303)
         assert invariants._upper_bound(c.bit_patterns) == 4
         assert min_distance(c) == naive_min(c) == 1
-        made, blocks = [], invariants._blocks
+        made, groups = [], invariants._groups
 
         def counted(patterns, n, t):
             made.append(t)
-            return blocks(patterns, n, t)
+            return groups(patterns, n, t)
 
-        monkeypatch.setattr(invariants, "_blocks", counted)
+        monkeypatch.setattr(invariants, "_groups", counted)
         assert invariants._least(c.bit_patterns, c.n, 4) == 1
         assert made == [4, 2]
+
+    def test_min_distance_picks_the_block_search(self, compared, monkeypatch):
+        # 1,024 random words of length 40 and rank 40, with t = 7: the
+        # S = 4,598,479 sums of fewer than 7 rows outnumber the 523,776
+        # pairs, so min_distance itself runs the block search. Its groups
+        # hold 73,839 pairs, and the bound pass compares 2,046.
+        c = random_code(40, 1024, seed=1, include_zero=True)
+        assert invariants.rank(c) == 40
+        assert invariants._upper_bound(c.bit_patterns) == 7
+        bounds = []
+        least = invariants._least
+
+        def counted(patterns, n, t):
+            bounds.append(t)
+            return least(patterns, n, t)
+
+        monkeypatch.setattr(invariants, "_least", counted)
+        assert min_distance(c) == naive_min(c) == 7
+        assert bounds == [7]
+        assert compared[0] <= all_pairs(c) // 5
 
     def test_groups_holding_every_pair_fall_back_to_the_scan(self, monkeypatch):
         # 30 even weight words of length 6 in the low half of length 12:
@@ -281,7 +305,15 @@ def test_min_distance_matches_naive(c):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(random_subsets(), linear_plus_words(), far_apart(), constructions()))
+@given(
+    st.one_of(
+        random_subsets(),
+        linear_plus_words(),
+        far_apart(),
+        constructions(),
+        coset_unions().map(lambda drawn: drawn[0]),
+    )
+)
 def test_block_search_matches_naive(c):
     # Called directly: most of these codes are dense in their span, and
     # min_distance reads them from it.
