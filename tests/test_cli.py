@@ -1,11 +1,13 @@
 """CLI contract: subcommands, output formats, and the 0/1/2 exit codes."""
 
+import hashlib
 import json
 import time
 from dataclasses import asdict, fields, replace
 
 import pytest
 
+import plotkit
 import plotkit.cli as cli
 import plotkit.core as core
 from plotkit.cli import cli_main
@@ -240,6 +242,13 @@ class TestVerify:
         assert (bundle / "constructed.code").exists()
         report = json.loads((bundle / "report.json").read_text())
         assert report["theorem_i_holds"] is False
+        provenance = report.pop("provenance")
+        assert set(report) == {f.name for f in fields(PlotkinReport)}
+        assert provenance["version"] == plotkit.__version__
+        assert provenance["sha256"] == {
+            name: hashlib.sha256((bundle / name).read_bytes()).hexdigest()
+            for name in ("input_a.code", "input_b.code")
+        }
 
 
 class TestFamily:

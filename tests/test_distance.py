@@ -289,6 +289,26 @@ def constructions(draw):
     )
 
 
+@st.composite
+def planted_pairs(draw):
+    """40 to 128 HAMMING_12 words and a word planted 1 apart from one of them.
+
+    d(HAMMING_12) = 4, so the planted word sets d = 1. It differs from its
+    codeword on coordinate 0, 1 or 2, which lies in the first block for
+    every bound t <= 4, so only a later block groups the pair. Half the
+    time a second word is planted 2 apart from another codeword, on
+    coordinates 3 to 11, so that it shares the first block with it: there
+    the first group distance under t is 2, still above d.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    words = rng.sample(HAMMING_12, draw(st.integers(40, 128)))
+    planted = [rng.choice(words) ^ 1 << (11 - rng.randrange(3))]
+    if draw(st.booleans()):
+        first, second = rng.sample(range(9), 2)
+        planted.append(rng.choice(words) ^ 1 << first ^ 1 << second)
+    return Code._from_bits(12, words + planted)
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     st.one_of(
@@ -312,6 +332,7 @@ def test_min_distance_matches_naive(c):
         far_apart(),
         constructions(),
         coset_unions().map(lambda drawn: drawn[0]),
+        planted_pairs(),
     )
 )
 def test_block_search_matches_naive(c):

@@ -3,11 +3,13 @@
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import coset_unions
 
+import plotkit.gf2 as gf2
 from plotkit.core import Word, code_from_words, word_xor
-from plotkit.families import _splitmix64
+from plotkit.families import _splitmix64, from_generator, reed_muller
 from plotkit.gf2 import (
     Gf2Basis,
     _reduce_bits,
@@ -117,6 +119,40 @@ def rows_reaching_full_rank(draw):
     return n, prefix + units + suffix
 
 
+@st.composite
+def rank_deficient_rows(draw):
+    """Sums of k random rows of length n, and 1 to 6 other rows past 2n.
+
+    n crosses byte boundaries, and there are 2n to 6n sums: the prefix of
+    2n rows and one or two batches after it. The other rows, all placed
+    after the prefix, often raise the rank inside a batch.
+    """
+    n = draw(st.one_of(st.sampled_from([8, 9, 16, 17, 64, 65]), st.integers(1, 70)))
+    rng = draw(st.randoms(use_true_random=False))
+    k = draw(st.integers(0, n))
+    basis = [rng.getrandbits(n) for _ in range(k)]
+    rows = []
+    for _ in range(draw(st.integers(2 * n, 6 * n))):
+        v = 0
+        for b in basis:
+            if rng.getrandbits(1):
+                v ^= b
+        rows.append(v)
+    for _ in range(draw(st.integers(1, 6))):
+        rows.insert(rng.randint(2 * n, len(rows)), rng.getrandbits(n))
+    return n, rows
+
+
+@pytest.fixture
+def no_packing(monkeypatch):
+    """Make _reduce_bits fail the test if it packs a batch."""
+
+    def packed(batch, n, pivots):
+        raise AssertionError("packed a batch")
+
+    monkeypatch.setattr(gf2, "_eliminate", packed)
+
+
 class TestReduceBits:
     @given(st.integers(1, 12).flatmap(
         lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=20))
@@ -137,6 +173,75 @@ class TestReduceBits:
             raise AssertionError("read a row after the rank reached n")
 
         assert _reduce_bits(rows(), 3) == [0b100, 0b010, 0b001]
+
+    @settings(deadline=None)
+    @given(rank_deficient_rows())
+    def test_bulk_matches_row_scan(self, case):
+        n, rows = case
+        assert _reduce_bits(rows, n) == reduce_bits_by_row_scan(rows)
+
+    @given(coset_unions())
+    def test_coset_unions_match_row_scan(self, drawn):
+        code, _ = drawn
+        rows = list(code.bit_patterns)
+        assert _reduce_bits(rows, code.n) == reduce_bits_by_row_scan(rows)
+
+    def test_last_pivot_found_in_bulk(self, monkeypatch):
+        # An [18,11] code in sorted order, then the all-ones word, which is
+        # outside it: after the 36-row prefix, batches of 36 to 1,152 rows
+        # reach rank 11, and only the last one holds the 12th pivot.
+        parity = random_words(7, count=11, n=7)
+        code = from_generator(
+            [Word(18, 1 << (17 - i) | p.bits) for i, p in enumerate(parity)]
+        )
+        ones = (1 << 18) - 1
+        assert ones not in code.bit_patterns
+        rows = [*code.bit_patterns, ones]
+        ranks = []
+        eliminate = gf2._eliminate
+
+        def counted(batch, n, pivots):
+            eliminate(batch, n, pivots)
+            ranks.append(len(pivots))
+
+        monkeypatch.setattr(gf2, "_eliminate", counted)
+        assert _reduce_bits(rows, 18) == reduce_bits_by_row_scan(rows)
+        assert ranks[-2:] == [11, 12]
+
+    def test_reed_muller_2_5_across_full_batches(self, monkeypatch):
+        # 65,536 rows of length 32 and rank 16: a 64-row prefix, then
+        # batches that double from 64 rows and stop growing at 4,096.
+        sizes = []
+        eliminate = gf2._eliminate
+
+        def counted(batch, n, pivots):
+            sizes.append(len(batch))
+            eliminate(batch, n, pivots)
+
+        monkeypatch.setattr(gf2, "_eliminate", counted)
+        rows = list(reed_muller(2, 5).bit_patterns)
+        assert _reduce_bits(rows, 32) == reduce_bits_by_row_scan(rows)
+        assert sizes[:7] == [64, 128, 256, 512, 1024, 2048, 4096]
+        assert max(sizes) == 4096 and sum(sizes) == len(rows) - 64
+
+    @pytest.mark.parametrize("at", [0, 40])
+    def test_row_out_of_range_is_refused(self, at):
+        # Rows of length 8 and rank 1. A bad row in the prefix is refused
+        # when the first batch is packed, and one in that batch as well.
+        rows = [0b11] * 60
+        rows[at] = 1 << 8
+        with pytest.raises(ValueError, match="longer than 8 bits"):
+            _reduce_bits(rows, 8)
+
+    def test_full_rank_within_the_prefix_packs_nothing(self, no_packing):
+        rows = [1 << i for i in range(9)] + [0b101] * 100
+        assert _reduce_bits(rows, 9) == [1 << i for i in reversed(range(9))]
+
+    def test_long_rows_are_never_packed(self, no_packing):
+        # Past _BULK_MAX_N bits every row takes the per-row loop.
+        n = gf2._BULK_MAX_N + 1
+        rows = [w.bits for w in random_words(11, count=5, n=n)] * 60
+        assert _reduce_bits(rows, n) == reduce_bits_by_row_scan(rows)
 
 
 class TestCodeBasis:
