@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice, pairwise
+from itertools import chain, combinations, islice, pairwise
 from math import comb
 
 from .core import Code
@@ -56,11 +56,11 @@ def _scan_pairs(patterns) -> int:
 def _upper_bound(patterns) -> int:
     """A distance that occurs among two or more sorted words.
 
-    The first word is compared with every other, then each word with the
-    next.
+    One scan compares the first word with every other, then each word with
+    the next, and ends at the first pair at distance 1.
     """
-    best = _closest(islice(combinations(patterns, 2), len(patterns) - 1))
-    return best if best == 1 else min(best, _closest(pairwise(patterns)))
+    first = islice(combinations(patterns, 2), len(patterns) - 1)
+    return _closest(chain(first, pairwise(patterns)))
 
 
 def _groups(patterns, n: int, t: int) -> list[list[int]]:
@@ -80,13 +80,18 @@ def _groups(patterns, n: int, t: int) -> list[list[int]]:
 
 
 def _least(patterns, n: int, t: int) -> int:
-    """min(t, least distance between two of the distinct length-n patterns)."""
+    """min(t, least distance between two of the distinct length-n patterns).
+
+    Every pair is scanned when t > 1 and 4tM >= M(M-1)/2. That rule is
+    tested once, with the first t: t only falls from pass to pass, so a
+    rule that fails on the first pass fails on every later one.
+    """
     all_pairs = len(patterns) * (len(patterns) - 1) // 2
+    # Putting a word in a group costs about as much as four pair
+    # comparisons, and t blocks put every word in t groups.
+    if t > 1 and 4 * t * len(patterns) >= all_pairs:
+        return min(t, _scan_pairs(patterns))
     while t > 1:
-        # Putting a word in a group costs about as much as four pair
-        # comparisons, and t blocks put every word in t groups.
-        if 4 * t * len(patterns) >= all_pairs:
-            return min(t, _scan_pairs(patterns))
         groups = _groups(patterns, n, t)
         if sum(len(g) * (len(g) - 1) // 2 for g in groups) >= all_pairs:
             return min(t, _scan_pairs(patterns))
@@ -187,6 +192,16 @@ def _distance(code: Code) -> int:
 
 
 def _kernel_scan(code: Code) -> Code:
+    """The kernel of a code, measured by membership probes alone.
+
+    A candidate x is refuted by a codeword w with w + x outside the code.
+    A kernel word maps the code onto itself, and so maps every word
+    outside the code to a word outside it. So the refutation drops each
+    survivor x' with x' + w outside the code, and, when the code fills
+    more than half its span, also each x' with x' + h a codeword, where
+    h = w + x is outside. On a sparser code x' + h is less often a
+    codeword than not, and the second probe mostly adds its cost.
+    """
     patterns, members = code.bit_patterns, code._bits
     c0 = patterns[0]
     # Candidate x = b ^ c0 is kept as its codeword b: the survivors are
@@ -200,13 +215,14 @@ def _kernel_scan(code: Code) -> Code:
         x = survivors[1] ^ c0
         witness = next((c for c in patterns if c ^ x not in members), None)
         if witness is None:
-            new = [s ^ x for s in span]
+            new = {s ^ x for s in span}
             span += new
-            found = set(new)
-            survivors = [b for b in survivors if b ^ c0 not in found]
+            survivors = [b for b in survivors if b ^ c0 not in new]
         else:
             z = c0 ^ witness
             survivors = [b for b in survivors if b ^ z in members]
+            if 1 << rank(code) < 2 * len(patterns):
+                survivors = [b for b in survivors if b ^ z ^ x not in members]
     return Code._from_bits(code.n, span)
 
 
@@ -225,17 +241,22 @@ def _complement(code: Code) -> Code | None:
     """S - C0, the few words of a span S that C0 = C + c0 leaves out, or None.
 
     C0 holds zero, so its kernel lies in S, and x in S fixes C0 exactly
-    when it fixes S - C0: the two have the kernel of C.
+    when it fixes S - C0: the two have the kernel of C. A span word s is
+    in C0 when s + c0 is a codeword, so C0 is read through the code's own
+    members and never built.
+
+    Without the zero word, C0 may span one dimension less than C, whose
+    rank is r. Its rows are reduced only when m words are near full at
+    rank r - 1: that needs m < 2^(r-1), so k = 2^r - m > m and k^3 > m^2,
+    and m words are then never near full at rank r.
     """
-    patterns, m, rows = code.bit_patterns, len(code), _code_rows(code)
+    patterns, members, rows = code.bit_patterns, code._bits, _code_rows(code)
     c0 = patterns[0]
-    # Without the zero word, C0 may span one dimension less than C.
-    if c0 and not _near_full(len(rows), m) and _near_full(len(rows) - 1, m):
-        rows = _reduce_bits([b ^ c0 for b in patterns], code.n)
-    if not _near_full(len(rows), m):
+    if c0 and _near_full(len(rows) - 1, len(members)):
+        rows = _reduce_bits((b ^ c0 for b in patterns), code.n)
+    if not _near_full(len(rows), len(members)):
         return None
-    members = {b ^ c0 for b in patterns} if c0 else code._bits
-    return Code._from_bits(code.n, [s for s in _span(rows) if s not in members])
+    return Code._from_bits(code.n, [s for s in _span(rows) if s ^ c0 not in members])
 
 
 def kernel(code: Code) -> Code:
@@ -247,10 +268,14 @@ def kernel(code: Code) -> Code:
     probed at a time: a codeword w with w + x outside the code refutes x
     and filters every survivor x' (x' + w must be a codeword) in one
     pass; a candidate with no witness doubles the span of the kernel
-    words found, whose new members leave the survivors unprobed. So only
+    words found, whose new members leave the survivors unprobed. A
+    kernel word keeps every non-codeword outside the code, so when the
+    scanned code fills more than half its span, the same pass also drops
+    each x' that maps the non-codeword h = w + x into the code. So only
     dim(kernel) candidates are probed in full, every word kept is probed
-    or a sum of probed words, and every word dropped has a witness: the
-    result is exact and measured from the code alone.
+    or a sum of probed words, and every word dropped has a witness of one
+    kind or the other: the result is exact and measured from the code
+    alone.
 
     A linear code minus a few words, or a coset of one, would make each
     candidate its own witness, so the scan runs instead on the k span
@@ -283,12 +308,11 @@ def kernel_dim(code: Code) -> int:
 
 def summarize(code: Code) -> CodeSummary:
     """Compute all CodeSummary fields for a code."""
-    r = rank(code)
     return CodeSummary(
         n=code.n,
         M=len(code),
         d=min_distance(code) if len(code) >= 2 else None,
-        rank=r,
+        rank=rank(code),
         ker_dim=kernel_dim(code),
-        is_linear=len(code) == 1 << r,
+        is_linear=is_linear(code),
     )

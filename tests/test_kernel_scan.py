@@ -3,7 +3,9 @@
 Near-linear codes (a linear code plus one word outside it) made the old
 per-candidate scan quadratic: every candidate survived every probe until
 the extra word. A linear code minus a few words did too, until the scan
-moved to the few words its translate leaves out of its span. Membership
+moved to the few words its translate leaves out of its span. So did a linear
+code minus one word joined with a small coset of a subcode, until each
+refuted candidate also filtered the survivors by a non-codeword. Membership
 probes are counted by swapping a fresh code's member set for a counting
 frozenset, and the size of each code handed to the scan is recorded, so
 the gates are counts, not times.
@@ -21,7 +23,8 @@ from plotkit.cli import cli_main
 from plotkit.codefile import format_code_file
 from plotkit.core import Code, Word
 from plotkit.families import from_generator, random_code, reed_muller
-from plotkit.invariants import dim, kernel
+from plotkit.gf2 import _reduce_bits, _span
+from plotkit.invariants import dim, kernel, rank
 from plotkit.oracle import BRUTE_KERNEL_MAX_N, kernel_bruteforce
 from plotkit.plotkin import plotkin_construct
 
@@ -82,6 +85,28 @@ def shifted(code: Code, x: int) -> Code:
     return Code._from_bits(code.n, [b ^ x for b in code.bit_patterns])
 
 
+def minus_one_plus_coset(n: int, k: int, j: int, seed: int) -> Code:
+    """(L - {u}) | (L' + a): a linear code less one word, and a small coset.
+
+    L is a seeded random [n, k] code with k < n, L' the span of j of the
+    k rows drawn for it, u a nonzero word of L and a a word outside L. For
+    each nonzero x in L', u + x is the only codeword that x maps out of
+    the code.
+    """
+    rng = Random(seed)
+    rows: list[int] = []
+    while len(rows) < k:
+        row = rng.getrandbits(n)
+        if len(_reduce_bits([*rows, row], n)) > len(rows):
+            rows.append(row)
+    linear = _span(rows)
+    members = set(linear)
+    u = rng.choice(linear[1:])
+    a = next(x for x in iter(lambda: rng.getrandbits(n), None) if x not in members)
+    coset = [s ^ a for s in _span(rows[:j])]
+    return Code._from_bits(n, [b for b in linear if b != u] + coset)
+
+
 class TestWorstCases:
     def test_reed_muller_plus_one_word(self):
         c = plus_largest_outside(reed_muller(2, 4))
@@ -112,6 +137,20 @@ class TestWorstCases:
         # 2^8 kernel words, but only the 8 that double the span are probed
         # in full
         assert probes <= (dim(k) + 3) * len(c)
+
+    def test_linear_code_minus_one_word_plus_a_small_coset(self):
+        # Its span has 2^13 words, too many for the complement. Each nonzero
+        # x in L' is refuted only by u + x, which filters out almost no
+        # other candidate: with that filter alone the scan made about
+        # |L'| |C| / 2 = 133,088 probes, and 135,947 on this code. The
+        # non-codeword u + x + x = u maps every other word of L' into the
+        # code, and drops them all at once.
+        c = minus_one_plus_coset(16, 12, 6, seed=1)
+        assert len(c) == 4159 and rank(c) == 13
+        k, probes = kernel_probes(c)
+        # |C| is odd and the kernel's cosets partition C
+        assert k == kernel_bruteforce(c) == Code._from_bits(16, [0])
+        assert probes <= 3 * len(c)
 
 
 class TestLinearMinusWords:
@@ -227,6 +266,32 @@ def linear_minus_words(draw):
 @settings(max_examples=150, deadline=None)
 @given(linear_minus_words())
 def test_kernel_matches_bruteforce_on_linear_codes_minus_words(c):
+    assert kernel(c) == kernel_bruteforce(c)
+
+
+@st.composite
+def linear_minus_one_plus_cosets(draw):
+    """minus_one_plus_coset at n <= 12, maybe widened, maybe shifted.
+
+    The shape alone mostly has the kernel {0}, which a scan that drops too
+    many survivors still finds. So a free first coordinate may be added,
+    which fills the span as densely and puts 10...0 in the kernel: the
+    largest candidate, probed after every other. A shift
+    outside the span adds a dimension to it, so the code then fills at most
+    half of it and the scan filters with one probe per survivor.
+    """
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, n - 1))
+    j, seed = draw(st.integers(0, k)), draw(st.integers(0, 1 << 32))
+    c = minus_one_plus_coset(n, k, j, seed)
+    if draw(st.booleans()):
+        c = Code._from_bits(n + 1, [b | e << n for b in c.bit_patterns for e in (0, 1)])
+    return shifted(c, draw(st.one_of(st.just(0), st.integers(0, (1 << c.n) - 1))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(linear_minus_one_plus_cosets())
+def test_kernel_matches_bruteforce_on_linear_codes_minus_one_word_plus_a_coset(c):
     assert kernel(c) == kernel_bruteforce(c)
 
 
