@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .codefile import (
     ParseError,
-    code_lines,
+    _pack,
     format_basis_file,
     format_code_file,
     parse_code_file,
@@ -98,11 +98,10 @@ def _cmd_plotkin(args: argparse.Namespace) -> int:
 def _cmd_kernel(args: argparse.Namespace) -> int:
     code = _load(args.file, args.gen)
     k = kernel(code)
-    lines = [f"# kernel n={k.n} dim={dim(k)} M={len(k)}"]
+    text = f"# kernel n={k.n} dim={dim(k)} M={len(k)}\n"
     if not code.contains_zero():
-        lines.append("# note: input lacks the zero word; kernel is not a subcode")
-    lines.extend(code_lines(k))
-    _emit("\n".join(lines) + "\n", args.output)
+        text += "# note: input lacks the zero word; kernel is not a subcode\n"
+    _emit(text + _pack(k.n, k.bit_patterns), args.output)
     return 0
 
 
@@ -113,7 +112,7 @@ def _cmd_span(args: argparse.Namespace) -> int:
     if (1 << basis.dim) <= enumeration_cap():
         span = span_enumerate(basis)
         text += f"# enumeration M={len(span)}\n"
-        text += "".join(f"{line}\n" for line in code_lines(span))
+        text += _pack(span.n, span.bit_patterns)
     _emit(text, args.output)
     return 0
 

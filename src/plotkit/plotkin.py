@@ -77,12 +77,11 @@ def plotkin_construct(c1: Code, c2: Code) -> Code:
     check_enumeration(
         len(c1) * len(c2), f"(u|u+v) of {len(c1)}- and {len(c2)}-word codes"
     )
-    n = c1.n
+    n, p2 = c1.n, c2.bit_patterns
     out = []
     for u in c1.bit_patterns:
-        left = u << n
-        for v in c2.bit_patterns:
-            out.append(left | (u ^ v))
+        x = (u << n) | u  # (u|u), and v < 2^n: x ^ v is (u|u+v)
+        out += [x ^ v for v in p2]
     return Code._from_bits(2 * n, out)
 
 

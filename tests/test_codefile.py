@@ -178,11 +178,19 @@ BAD_ROWS = ["0_1", "+01", "0b01", "1\u0661", "\u06610", "0 1", "0\ud800", "0x"]
 LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\u2028"]
 
 
+# Word lengths on both sides of a byte and of a 64-bit limb.
+WIDTHS = [1, 7, 8, 9, 63, 64, 65, 128, 129]
+
+
 @st.composite
 def code_files(draw):
     """Text of a code file: valid rows, repeats, comments, blank lines and
-    padding, with at times a bad, ragged or over-length row among them."""
-    n = draw(st.integers(1, 6))
+    padding, with at times a bad, ragged or over-length row among them.
+
+    Half the files have the layout that the writer uses, leading '#' lines
+    then bare rows ended by '\\n', which is read without splitting lines.
+    """
+    n = draw(st.sampled_from(WIDTHS))
     word = st.text("01", min_size=n, max_size=n)
     rows = draw(st.lists(word, max_size=10))
     if rows:
@@ -195,13 +203,21 @@ def code_files(draw):
     )
     for fault in draw(st.lists(faults, max_size=2)):
         rows.insert(draw(st.integers(0, len(rows))), fault)
-    padding = st.sampled_from(["", " ", "\t", "\xa0"])
-    filler = st.lists(st.sampled_from(["", "  ", "#", "# note", " #01", "#0_1"]), max_size=2)
-    lines = []
-    for row in rows:
-        lines += draw(filler)
-        lines.append(draw(padding) + row + draw(padding))
-    newline = draw(st.sampled_from(LINE_BREAKS))
+    if draw(st.booleans()):
+        # "#\r1" is a comment line and the row "1" to splitlines
+        comments = st.sampled_from(["#", "# note", "#0_1", "#\r1"])
+        lines = draw(st.lists(comments, max_size=2)) + rows
+        newline = "\n"
+    else:
+        padding = st.sampled_from(["", " ", "\t", "\xa0"])
+        filler = st.lists(
+            st.sampled_from(["", "  ", "#", "# note", " #01", "#0_1"]), max_size=2
+        )
+        lines = []
+        for row in rows:
+            lines += draw(filler)
+            lines.append(draw(padding) + row + draw(padding))
+        newline = draw(st.sampled_from(LINE_BREAKS))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
@@ -213,6 +229,8 @@ class TestWholeFileReading:
     @example("1\u0661\n" + "1" * (MAX_LENGTH + 1) + "\n")
     @example("01\n10\n01\n011\n")
     @example("01\u2028# c\u2028\u2028 10\u2028\u2028 01 \u2028")
+    @example("# c\u202801\n10\n")
+    @example("01\n1\n011\n")
     def test_reader_agrees_with_a_naive_per_line_reference(self, text):
         try:
             code, space, messages = reference_read(text)
@@ -243,6 +261,33 @@ class TestWholeFileReading:
         a, b = (Code._from_bits(11, rng.sample(range(1 << 9), 256)) for _ in "ab")
         built = plotkin_construct(a, b)
         assert parse_gen_file(format_code_file(built)) == span_enumerate(code_basis(built))
+
+
+def reference_format(code):
+    """The per-word writer: bin(b | top) is "0b1" then the word, zeros kept."""
+    top = 1 << code.n
+    lines = [f"# code n={code.n} M={len(code)}"]
+    lines.extend(bin(b | top)[3:] for b in code.bit_patterns)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def codes_of_every_width(draw):
+    n = draw(st.sampled_from(WIDTHS))
+    words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40))
+    return Code._from_bits(n, words)
+
+
+class TestPlaneWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(codes_of_every_width())
+    @example(Code._from_bits(129, [(1 << 129) - 1]))
+    @example(Code._from_bits(64, [1 << 63]))
+    @example(Code._from_bits(65, [1]))
+    def test_writer_matches_the_per_word_formula(self, c):
+        text = format_code_file(c)
+        assert text == reference_format(c)
+        assert parse_code_file(text) == c
 
 
 class TestParseGenFile:
