@@ -36,21 +36,13 @@ from .oracle import (
     span_bruteforce,
 )
 from .plotkin import (
+    CHECKS,
     CodeParams,
     PlotkinReport,
     _verify,
     plotkin_construct,
     verify_plotkin,
 )
-
-_CLAUSES = (
-    ("theorem_i_holds", "kernel factorization"),
-    ("theorem_ii_holds", "span factorization"),
-    ("corollary_i_holds", "kernel dimension additivity"),
-    ("corollary_ii_holds", "rank additivity"),
-    ("params_hold", "parameter prediction"),
-)
-
 
 def _load(path: str, as_gen: bool) -> Code:
     text = Path(path).read_text()
@@ -184,7 +176,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
               f"{'yes' if report.hypothesis_ok else 'no'}")
         print(f"predicted  {_format_params(report.predicted)}")
         print(f"observed   {_format_params(report.observed)}")
-        for field, label in _CLAUSES:
+        for field, label in CHECKS:
             print(f"{label:<27} {'pass' if getattr(report, field) else 'FAIL'}")
         if args.oracle:
             print(f"{'oracle cross-check':<27} {'pass' if oracle_ok else 'FAIL'}")
@@ -194,9 +186,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not oracle_ok:
         print(f"verification failed: {oracle_msg}", file=sys.stderr)
     else:
-        failing = next(
-            label for field, label in _CLAUSES if not getattr(report, field)
-        )
+        failing = next(label for field, label in CHECKS if not getattr(report, field))
         print(f"verification failed: {failing}", file=sys.stderr)
     bundle = _dump_bundle(args.bundle_dir, c1, c2, code, report)
     print(f"counterexample bundle written to {bundle}", file=sys.stderr)
@@ -244,7 +234,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         else:
             flags = "".join(
                 f"{'ok' if getattr(report, field) else 'FAIL':<5}"
-                for field, _ in _CLAUSES
+                for field, _ in CHECKS
             )
             print(f"{i:>5} {n:>3} {m1:>4} {m2:>4}  {flags}"
                   f"{'yes' if report.ok else 'NO'}")

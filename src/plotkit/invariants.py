@@ -197,10 +197,11 @@ def _kernel_scan(code: Code) -> Code:
     A candidate x is refuted by a codeword w with w + x outside the code.
     A kernel word maps the code onto itself, and so maps every word
     outside the code to a word outside it. So the refutation drops each
-    survivor x' with x' + w outside the code, and, when the code fills
-    more than half its span, also each x' with x' + h a codeword, where
-    h = w + x is outside. On a sparser code x' + h is less often a
-    codeword than not, and the second probe mostly adds its cost.
+    survivor x' with x' + w outside the code, and, when C0 = C + c0 can
+    fill more than half its span, 2^_c0_rank(C) < 2|C|, also each x' with
+    x' + h a codeword, where h = w + x is outside. On a sparser code
+    x' + h is less often a codeword than not, and the second probe mostly
+    adds its cost.
     """
     patterns, members = code.bit_patterns, code._bits
     c0 = patterns[0]
@@ -221,9 +222,19 @@ def _kernel_scan(code: Code) -> Code:
         else:
             z = c0 ^ witness
             survivors = [b for b in survivors if b ^ z in members]
-            if 1 << rank(code) < 2 * len(patterns):
+            if 1 << _c0_rank(code) < 2 * len(patterns):
                 survivors = [b for b in survivors if b ^ z ^ x not in members]
     return Code._from_bits(code.n, span)
+
+
+def _c0_rank(code: Code) -> int:
+    """The least dimension that C0 = C + c0 can span: rank(C) - [0 not in C].
+
+    C0 holds zero, and C spans what C0 and c0 span: one dimension more
+    at most, and none more when c0 = 0. The words are sorted, so c0 is 0
+    when the code holds it; reading c0 makes no membership probe.
+    """
+    return len(_code_rows(code)) - (code.bit_patterns[0] != 0)
 
 
 def _near_full(r: int, m: int) -> bool:
@@ -247,12 +258,12 @@ def _complement(code: Code) -> Code | None:
 
     Without the zero word, C0 may span one dimension less than C, whose
     rank is r. Its rows are reduced only when m words are near full at
-    rank r - 1: that needs m < 2^(r-1), so k = 2^r - m > m and k^3 > m^2,
-    and m words are then never near full at rank r.
+    that least rank, r - 1: that needs m < 2^(r-1), so k = 2^r - m > m and
+    k^3 > m^2, and m words are then never near full at rank r.
     """
     patterns, members, rows = code.bit_patterns, code._bits, _code_rows(code)
-    c0 = patterns[0]
-    if c0 and _near_full(len(rows) - 1, len(members)):
+    c0, r = patterns[0], _c0_rank(code)
+    if r < len(rows) and _near_full(r, len(members)):
         rows = _reduce_bits((b ^ c0 for b in patterns), code.n)
     if not _near_full(len(rows), len(members)):
         return None
@@ -269,8 +280,8 @@ def kernel(code: Code) -> Code:
     and filters every survivor x' (x' + w must be a codeword) in one
     pass; a candidate with no witness doubles the span of the kernel
     words found, whose new members leave the survivors unprobed. A
-    kernel word keeps every non-codeword outside the code, so when the
-    scanned code fills more than half its span, the same pass also drops
+    kernel word keeps every non-codeword outside the code, so when C0 =
+    C + c0 can fill more than half its span, the same pass also drops
     each x' that maps the non-codeword h = w + x into the code. So only
     dim(kernel) candidates are probed in full, every word kept is probed
     or a sum of probed words, and every word dropped has a witness of one

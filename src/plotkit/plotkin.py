@@ -27,6 +27,17 @@ class CodeParams:
     kernel_dim: int
 
 
+# The structural checks of a PlotkinReport: each boolean field but
+# hypothesis_ok, with the label that reports name it by.
+CHECKS = (
+    ("theorem_i_holds", "kernel factorization"),
+    ("theorem_ii_holds", "span factorization"),
+    ("corollary_i_holds", "kernel dimension additivity"),
+    ("corollary_ii_holds", "rank additivity"),
+    ("params_hold", "parameter prediction"),
+)
+
+
 @dataclass(frozen=True)
 class PlotkinReport:
     """Predicted vs. observed parameters plus the structural check flags.
@@ -49,13 +60,7 @@ class PlotkinReport:
 
     @property
     def all_checks_hold(self) -> bool:
-        return (
-            self.theorem_i_holds
-            and self.theorem_ii_holds
-            and self.corollary_i_holds
-            and self.corollary_ii_holds
-            and self.params_hold
-        )
+        return all(getattr(self, field) for field, _ in CHECKS)
 
     @property
     def ok(self) -> bool:

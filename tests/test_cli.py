@@ -14,7 +14,7 @@ from plotkit.cli import cli_main
 from plotkit.codefile import format_code_file, parse_code_file
 from plotkit.core import Code, Word, code_from_words
 from plotkit.families import random_code, universe
-from plotkit.plotkin import PlotkinReport, _verify, verify_plotkin
+from plotkit.plotkin import CHECKS, PlotkinReport, _verify, verify_plotkin
 
 
 def w(s):
@@ -249,6 +249,24 @@ class TestVerify:
             name: hashlib.sha256((bundle / name).read_bytes()).hexdigest()
             for name in ("input_a.code", "input_b.code")
         }
+
+
+    @pytest.mark.parametrize("field, label", CHECKS)
+    def test_a_failing_check_is_named(
+        self, field, label, files, tmp_path, capsys, monkeypatch
+    ):
+        def doctored(c1, c2, built):
+            return replace(_verify(c1, c2, built), **{field: False})
+
+        monkeypatch.setattr(cli, "_verify", doctored)
+        a = files("a.code", code("00", "01", "10"))
+        b = files("b.code", code("00", "11"))
+        bundle = str(tmp_path / "bundle")
+        assert cli_main(["verify", a, b, "--bundle-dir", bundle]) == 1
+        out, err = capsys.readouterr()
+        assert "hypothesis (zero word in both inputs): yes" in out
+        assert f"{label:<27} FAIL" in out
+        assert err.splitlines()[0] == f"verification failed: {label}"
 
 
 class TestFamily:

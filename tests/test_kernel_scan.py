@@ -5,7 +5,9 @@ per-candidate scan quadratic: every candidate survived every probe until
 the extra word. A linear code minus a few words did too, until the scan
 moved to the few words its translate leaves out of its span. So did a linear
 code minus one word joined with a small coset of a subcode, until each
-refuted candidate also filtered the survivors by a non-codeword. Membership
+refuted candidate also filtered the survivors by a non-codeword, and so did
+that code shifted by a word outside its span, until that filter read the
+dimension of C + c0 rather than the shifted code's larger rank. Membership
 probes are counted by swapping a fresh code's member set for a counting
 frozenset, and the size of each code handed to the scan is recorded, so
 the gates are counts, not times.
@@ -152,6 +154,19 @@ class TestWorstCases:
         assert k == kernel_bruteforce(c) == Code._from_bits(16, [0])
         assert probes <= 3 * len(c)
 
+    def test_the_same_code_shifted_outside_its_span(self):
+        # The shift raises the rank from 13 to 14, and 4,159 words fill only
+        # a quarter of 2^14. C0 = C + c0 may span 13 dimensions, so the
+        # non-codeword filter still runs. A density test on rank(C) left
+        # the scan one probe per survivor: 135,947 probes.
+        c = minus_one_plus_coset(16, 12, 6, seed=1)
+        span = set(_span(_reduce_bits(c.bit_patterns, 16)))
+        c = shifted(c, next(x for x in range(1 << 16) if x not in span))
+        assert len(c) == 4159 and rank(c) == 14 and not c.contains_zero()
+        k, probes = kernel_probes(c)
+        assert k == kernel_bruteforce(c)
+        assert probes <= 3 * len(c)
+
 
 class TestLinearMinusWords:
     """The scan runs on S - C0, the few span words the translate leaves out."""
@@ -276,9 +291,9 @@ def linear_minus_one_plus_cosets(draw):
     The shape alone mostly has the kernel {0}, which a scan that drops too
     many survivors still finds. So a free first coordinate may be added,
     which fills the span as densely and puts 10...0 in the kernel: the
-    largest candidate, probed after every other. A shift
-    outside the span adds a dimension to it, so the code then fills at most
-    half of it and the scan filters with one probe per survivor.
+    largest candidate, probed after every other. A shift outside the span
+    adds a dimension to it but not to C + c0, so the scan filters by the
+    non-codeword whenever the unshifted code would.
     """
     n = draw(st.integers(2, 12))
     k = draw(st.integers(1, n - 1))

@@ -1,6 +1,7 @@
 """Construction behavior: direct kernel/span assembly vs. independent measurement."""
 
 import tracemalloc
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from plotkit.families import _splitmix64, random_code, reed_muller, repetition, 
 from plotkit.gf2 import Gf2Basis, _code_rows, code_basis, rref, span_enumerate
 from plotkit.invariants import is_linear, kernel, min_distance, rank, summarize
 from plotkit.plotkin import (
+    CHECKS,
     CodeParams,
     _verify,
     plotkin_construct,
@@ -238,6 +240,16 @@ class TestVerify:
             length=4, size=6, distance=2, rank=3, kernel_dim=1
         )
         assert report.predicted == report.observed
+
+    def test_each_check_is_listed_once_and_decides_all_checks_hold(self):
+        report = verify_plotkin(code("00", "01", "10"), code("00", "11"))
+        flags = [f.name for f in fields(report) if type(getattr(report, f.name)) is bool]
+        listed = [field for field, _ in CHECKS]
+        assert sorted(listed) == sorted(f for f in flags if f != "hypothesis_ok")
+        assert report.all_checks_hold
+        for field in listed:
+            failing = replace(report, **{field: False})
+            assert not failing.all_checks_hold and not failing.ok
 
     def test_degenerate_zero_pair(self):
         zero = code_from_words([Word.zero(4)])
