@@ -197,11 +197,8 @@ def _kernel_scan(code: Code) -> Code:
     A candidate x is refuted by a codeword w with w + x outside the code.
     A kernel word maps the code onto itself, and so maps every word
     outside the code to a word outside it. So the refutation drops each
-    survivor x' with x' + w outside the code, and, when C0 = C + c0 can
-    fill more than half its span, 2^_c0_rank(C) < 2|C|, also each x' with
-    x' + h a codeword, where h = w + x is outside. On a sparser code
-    x' + h is less often a codeword than not, and the second probe mostly
-    adds its cost.
+    survivor x' with x' + w outside the code, and each x' with x' + h a
+    codeword, where h = w + x is outside.
     """
     patterns, members = code.bit_patterns, code._bits
     c0 = patterns[0]
@@ -221,28 +218,17 @@ def _kernel_scan(code: Code) -> Code:
             survivors = [b for b in survivors if b ^ c0 not in new]
         else:
             z = c0 ^ witness
-            survivors = [b for b in survivors if b ^ z in members]
-            if 1 << _c0_rank(code) < 2 * len(patterns):
-                survivors = [b for b in survivors if b ^ z ^ x not in members]
+            survivors = [
+                b for b in survivors if b ^ z in members and b ^ z ^ x not in members
+            ]
     return Code._from_bits(code.n, span)
-
-
-def _c0_rank(code: Code) -> int:
-    """The least dimension that C0 = C + c0 can span: rank(C) - [0 not in C].
-
-    C0 holds zero, and C spans what C0 and c0 span: one dimension more
-    at most, and none more when c0 = 0. The words are sorted, so c0 is 0
-    when the code holds it; reading c0 makes no membership probe.
-    """
-    return len(_code_rows(code)) - (code.bit_patterns[0] != 0)
 
 
 def _near_full(r: int, m: int) -> bool:
     """m words leave k >= 1 words of a 2^r-word span out, k^3 <= m^2, within the cap.
 
     Scanning the k left-out words costs at most about 2k^2 probes (at most
-    k passes of at most 2k); scanning the m words costs about m^2 / 2k.
-    The two meet, up to a constant factor, where k^3 = m^2.
+    k passes of at most 2k), and k^3 <= m^2 keeps that under about 2m^(4/3).
     """
     k = (1 << r) - m
     return k >= 1 and k**3 <= m * m and 1 << r <= enumeration_cap()
@@ -262,8 +248,9 @@ def _complement(code: Code) -> Code | None:
     k^3 > m^2, and m words are then never near full at rank r.
     """
     patterns, members, rows = code.bit_patterns, code._bits, _code_rows(code)
-    c0, r = patterns[0], _c0_rank(code)
-    if r < len(rows) and _near_full(r, len(members)):
+    # The words are sorted, so c0 is 0 exactly when the code holds zero.
+    c0 = patterns[0]
+    if c0 and _near_full(len(rows) - 1, len(members)):
         rows = _reduce_bits((b ^ c0 for b in patterns), code.n)
     if not _near_full(len(rows), len(members)):
         return None
@@ -280,22 +267,19 @@ def kernel(code: Code) -> Code:
     and filters every survivor x' (x' + w must be a codeword) in one
     pass; a candidate with no witness doubles the span of the kernel
     words found, whose new members leave the survivors unprobed. A
-    kernel word keeps every non-codeword outside the code, so when C0 =
-    C + c0 can fill more than half its span, the same pass also drops
-    each x' that maps the non-codeword h = w + x into the code. So only
-    dim(kernel) candidates are probed in full, every word kept is probed
-    or a sum of probed words, and every word dropped has a witness of one
-    kind or the other: the result is exact and measured from the code
-    alone.
+    kernel word keeps every non-codeword outside the code, so the same
+    pass also drops each x' that maps the non-codeword h = w + x into the
+    code. So only dim(kernel) candidates are probed in full, every word
+    kept is probed or a sum of probed words, and every word dropped has a
+    witness of one kind or the other: the result is exact and measured
+    from the code alone.
 
-    A linear code minus a few words, or a coset of one, would make each
-    candidate its own witness, so the scan runs instead on the k span
-    words that C + c0 misses, when k^3 <= |C|^2: scanning those k words
-    costs at most about 2k^2 probes and scanning the code about
-    |C|^2 / 2k, and the two meet there up to a constant factor. A
-    linear code is its own kernel and is not scanned, nor stored in its
-    own slot, which would be a reference cycle; any other code is
-    scanned once and its kernel cached on it.
+    A linear code minus a few words, or a coset of one, is scanned on the
+    k span words that C + c0 misses instead, when k^3 <= |C|^2: there a
+    witness search or a full probe walks k words, not |C|. A linear code
+    is its own kernel and is not scanned, nor stored in its own slot,
+    which would be a reference cycle; any other code is scanned once and
+    its kernel cached on it.
     """
     if is_linear(code):
         return code

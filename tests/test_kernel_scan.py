@@ -5,12 +5,13 @@ per-candidate scan quadratic: every candidate survived every probe until
 the extra word. A linear code minus a few words did too, until the scan
 moved to the few words its translate leaves out of its span. So did a linear
 code minus one word joined with a small coset of a subcode, until each
-refuted candidate also filtered the survivors by a non-codeword, and so did
-that code shifted by a word outside its span, until that filter read the
-dimension of C + c0 rather than the shifted code's larger rank. Membership
-probes are counted by swapping a fresh code's member set for a counting
-frozenset, and the size of each code handed to the scan is recorded, so
-the gates are counts, not times.
+refuted candidate also filtered the survivors by a non-codeword. That code
+shifted by a word outside its span, or joined with one, fills only a
+quarter of its span; its scan stays linear in |C| because the second
+filter runs on every code, however sparse. Membership probes are counted
+by swapping a fresh code's member set for a counting frozenset, and the
+size of each code handed to the scan is recorded, so the gates are counts,
+not times.
 """
 
 from random import Random
@@ -48,12 +49,13 @@ def kernel_probes(code: Code) -> tuple[Code, int]:
     return k, CountingSet.probes
 
 
-def plus_largest_outside(linear: Code) -> Code:
-    """The code plus the largest pattern outside it, which sorts last."""
-    extra = next(
-        x for x in range((1 << linear.n) - 1, -1, -1) if x not in linear._bits
-    )
-    return Code._from_bits(linear.n, linear.bit_patterns + (extra,))
+def plus_largest_outside(code: Code) -> Code:
+    """The code plus the largest pattern outside its span, if there is one."""
+    span = set(_span(_reduce_bits(code.bit_patterns, code.n)))
+    extra = next((x for x in range((1 << code.n) - 1, -1, -1) if x not in span), None)
+    if extra is None:
+        return code
+    return Code._from_bits(code.n, code.bit_patterns + (extra,))
 
 
 def systematic_code(n: int, k: int, seed: int) -> Code:
@@ -156,13 +158,24 @@ class TestWorstCases:
 
     def test_the_same_code_shifted_outside_its_span(self):
         # The shift raises the rank from 13 to 14, and 4,159 words fill only
-        # a quarter of 2^14. C0 = C + c0 may span 13 dimensions, so the
-        # non-codeword filter still runs. A density test on rank(C) left
-        # the scan one probe per survivor: 135,947 probes.
+        # a quarter of 2^14. The non-codeword filter runs on every code, so
+        # the shift costs nothing; a density test on rank(C) skipped it
+        # here and left the scan one probe per survivor: 135,947 probes.
         c = minus_one_plus_coset(16, 12, 6, seed=1)
         span = set(_span(_reduce_bits(c.bit_patterns, 16)))
         c = shifted(c, next(x for x in range(1 << 16) if x not in span))
         assert len(c) == 4159 and rank(c) == 14 and not c.contains_zero()
+        k, probes = kernel_probes(c)
+        assert k == kernel_bruteforce(c)
+        assert probes <= 3 * len(c)
+
+    def test_the_same_code_plus_a_word_outside_its_span(self):
+        # One word outside the span leaves 4,160 words in a span of 2^14,
+        # a quarter full, yet each nonzero x in L' still has the one
+        # witness u + x. A density test skipped the non-codeword filter
+        # on this code, and the scan took 135,948 probes.
+        c = plus_largest_outside(minus_one_plus_coset(16, 12, 6, seed=1))
+        assert len(c) == 4160 and rank(c) == 14 and c.contains_zero()
         k, probes = kernel_probes(c)
         assert k == kernel_bruteforce(c)
         assert probes <= 3 * len(c)
@@ -286,19 +299,22 @@ def test_kernel_matches_bruteforce_on_linear_codes_minus_words(c):
 
 @st.composite
 def linear_minus_one_plus_cosets(draw):
-    """minus_one_plus_coset at n <= 12, maybe widened, maybe shifted.
+    """minus_one_plus_coset at n <= 12, maybe extended, widened or shifted.
 
-    The shape alone mostly has the kernel {0}, which a scan that drops too
-    many survivors still finds. So a free first coordinate may be added,
-    which fills the span as densely and puts 10...0 in the kernel: the
-    largest candidate, probed after every other. A shift outside the span
-    adds a dimension to it but not to C + c0, so the scan filters by the
-    non-codeword whenever the unshifted code would.
+    The largest word outside the span may be added, when the rank is below
+    n: the code stays dense in L but fills only a quarter of its new span,
+    as does a shift outside the span. The shape alone mostly has the
+    kernel {0}, which a scan that drops too many survivors still finds.
+    So a free first coordinate may be added, which fills the span as
+    densely and puts 10...0 in the kernel: the largest candidate, probed
+    after every other.
     """
     n = draw(st.integers(2, 12))
     k = draw(st.integers(1, n - 1))
     j, seed = draw(st.integers(0, k)), draw(st.integers(0, 1 << 32))
     c = minus_one_plus_coset(n, k, j, seed)
+    if draw(st.booleans()):
+        c = plus_largest_outside(c)
     if draw(st.booleans()):
         c = Code._from_bits(n + 1, [b | e << n for b in c.bit_patterns for e in (0, 1)])
     return shifted(c, draw(st.one_of(st.just(0), st.integers(0, (1 << c.n) - 1))))
