@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .codefile import (
@@ -74,7 +73,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     code = _load(args.file, args.gen)
     s = summarize(code)
     if args.json:
-        print(json.dumps(asdict(s)))
+        print(json.dumps(s, default=vars))
     else:
         print(_format_summary(s))
     return 0
@@ -152,9 +151,9 @@ def _dump_bundle(
         (bundle / name).write_bytes(data)
         hashes[name] = hashlib.sha256(data).hexdigest()
     (bundle / "constructed.code").write_text(format_code_file(code))
-    record = asdict(report)
-    record["provenance"] = {"version": __version__, "sha256": hashes}
-    (bundle / "report.json").write_text(json.dumps(record, indent=2) + "\n")
+    record = {**vars(report), "provenance": {"version": __version__, "sha256": hashes}}
+    text = json.dumps(record, indent=2, default=vars)
+    (bundle / "report.json").write_text(text + "\n")
     return bundle
 
 
@@ -170,7 +169,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         oracle_ok, oracle_msg = _oracle_agrees(c1, c2, code)
 
     if args.json:
-        print(json.dumps(asdict(report)))
+        print(json.dumps(report, default=vars))
     else:
         print(f"hypothesis (zero word in both inputs): "
               f"{'yes' if report.hypothesis_ok else 'no'}")
@@ -230,7 +229,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         if not report.ok:
             failures += 1
         if args.json:
-            print(json.dumps(asdict(report)))
+            print(json.dumps(report, default=vars))
         else:
             flags = "".join(
                 f"{'ok' if getattr(report, field) else 'FAIL':<5}"

@@ -8,10 +8,12 @@ code minus one word joined with a small coset of a subcode, until each
 refuted candidate also filtered the survivors by a non-codeword. That code
 shifted by a word outside its span, or joined with one, fills only a
 quarter of its span; its scan stays linear in |C| because the second
-filter runs on every code, however sparse. Membership probes are counted
-by swapping a fresh code's member set for a counting frozenset, and the
-size of each code handed to the scan is recorded, so the gates are counts,
-not times.
+filter runs on every code, however sparse. A random construction refuted
+its first candidate by filtering all |C| words one at a time, until the
+scan started only from the top-bit buckets whose sizes a translation can
+preserve. Membership probes are counted by swapping a fresh code's member
+set for a counting frozenset, and the size of each code handed to the
+scan is recorded, so the gates are counts, not times.
 """
 
 from random import Random
@@ -181,6 +183,22 @@ class TestWorstCases:
         assert probes <= 3 * len(c)
 
 
+class TestTopBitBuckets:
+    def test_a_random_construction_is_refuted_by_bucket_sizes(self):
+        # 65,536 words in 128 buckets by their top 7 bits, of uneven sizes:
+        # a translation preserves the sizes only when it keeps every
+        # bucket in place, so the scan starts from c0's bucket alone. The
+        # first refutation filtered all |C| candidates one word at a time,
+        # about 1.6|C| probes in all.
+        for seeds in ((1, 2), (3, 4)):
+            c = plotkin_construct(
+                *(random_code(10, 256, s, include_zero=True) for s in seeds)
+            )
+            k, probes = kernel_probes(c)
+            assert k == Code._from_bits(20, [0])
+            assert probes <= len(c) // 16
+
+
 class TestLinearMinusWords:
     """The scan runs on S - C0, the few span words the translate leaves out."""
 
@@ -323,6 +341,42 @@ def linear_minus_one_plus_cosets(draw):
 @settings(max_examples=100, deadline=None)
 @given(linear_minus_one_plus_cosets())
 def test_kernel_matches_bruteforce_on_linear_codes_minus_one_word_plus_a_coset(c):
+    assert kernel(c) == kernel_bruteforce(c)
+
+
+@st.composite
+def bucketed_coset_unions(draw):
+    """A union of cosets of a random subspace K, of 64 to 511 words, and dim K.
+
+    At n <= 10, 64 words or more make the scan split the code into at
+    least 4 buckets by its top bits. Each row of K is a random word,
+    or one cut to the low n - 3 bits, so some kernels move words between
+    buckets and some keep every word in its bucket, which leaves buckets
+    of uneven sizes, some empty. A shift may move the zero word out of the
+    code and its empty buckets to the bottom, so c0 need not lie in the
+    first bucket.
+    """
+    n = draw(st.integers(8, 10))
+    k = draw(st.integers(1, 5))
+    space = [0]
+    while len(space) < 1 << k:
+        row = draw(st.integers(1, (1 << n) - 1)) >> draw(st.sampled_from([0, 3]))
+        if row not in space:
+            space += [s ^ row for s in space]
+    size = draw(st.integers(64, min(512, 1 << (n - 1)) - len(space)))
+    words: set[int] = set()
+    while len(words) < size:
+        leader = draw(st.integers(0, (1 << n) - 1).filter(lambda w: w not in words))
+        words |= {s ^ leader for s in space}
+    shift = draw(st.one_of(st.just(0), st.integers(0, (1 << n) - 1)))
+    return Code._from_bits(n, [w ^ shift for w in words]), k
+
+
+@settings(max_examples=100, deadline=None)
+@given(bucketed_coset_unions())
+def test_kernel_matches_bruteforce_on_bucketed_coset_unions(drawn):
+    c, k = drawn
+    assert dim(kernel(c)) >= k
     assert kernel(c) == kernel_bruteforce(c)
 
 
