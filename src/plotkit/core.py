@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -93,9 +94,19 @@ def concat(a: Word, b: Word) -> Word:
 class Code:
     """Immutable set of distinct equal-length words.
 
-    Membership tests run on the packed bit patterns. Iteration and the
-    `words` tuple, which is built on each call, are deterministic:
-    ascending bit patterns, i.e. lexicographic in the printed form.
+    The sorted tuple of packed bit patterns is the only structure built
+    up front. Iteration, length, equality and hashing read it, and so does
+    the `words` tuple, which is built on each call: all are deterministic,
+    in ascending bit patterns, i.e. lexicographic in the printed form.
+
+    Membership has two routes. `_has` bisects the sorted tuple. `_members`
+    returns the frozenset of the patterns: it is built at most once, on
+    first need, and kept in `_bits`. A code built from words that may
+    repeat (`Code(words)`, `_from_bits`) deduplicates through that set and
+    keeps it; one built from words known to be distinct (`_from_distinct`)
+    builds none. The kernel scan bisects until its probes reach |C|/16,
+    about what building the set costs, and only then builds it (see
+    `invariants._kernel_scan`).
 
     `_rref`, `_kernel` and `_d` cache the code's analyses: its RREF rows as
     packed ints, the kernel of a nonlinear code and the minimum distance.
@@ -107,7 +118,7 @@ class Code:
 
     def __init__(self, words: Iterable[Word]):
         words = list(words)
-        n = words[0].length if words else 0  # _init refuses an empty code
+        n = words[0].length if words else 0  # _fill refuses an empty code
         for w in words[1:]:
             if w.length != n:
                 raise ValueError(f"mixed word lengths: {n} and {w.length}")
@@ -122,18 +133,45 @@ class Code:
         self._init(n, bits)
         return self
 
+    @classmethod
+    def _from_distinct(cls, n: int, bits: list[int]) -> Code:
+        """_from_bits for a list of distinct patterns: sorted in place, no set built."""
+        _check_length(n)
+        bits.sort()
+        self = object.__new__(cls)
+        self._fill(n, bits, None)
+        return self
+
     def _init(self, n: int, bits: Iterable[int]) -> None:
-        self.n = n
         patterns = sorted(bits)  # a list, not a set in hash order
-        self._bits = frozenset(patterns)
-        if not self._bits:
+        members = frozenset(patterns)
+        if len(patterns) > len(members):
+            patterns = sorted(members)
+        self._fill(n, patterns, members)
+
+    def _fill(
+        self, n: int, patterns: list[int], members: frozenset[int] | None
+    ) -> None:
+        if not patterns:
             raise ValueError("a code needs at least one word")
-        if len(patterns) > len(self._bits):
-            patterns = sorted(self._bits)
+        self.n = n
         self._patterns = tuple(patterns)
+        self._bits = members
         self._rref: tuple[int, ...] | None = None
         self._kernel: Code | None = None
         self._d: int | None = None
+
+    def _members(self) -> frozenset[int]:
+        """The set of member patterns, built on first need and kept."""
+        if self._bits is None:
+            self._bits = frozenset(self._patterns)
+        return self._bits
+
+    def _has(self, x: int) -> bool:
+        """Whether pattern x is a member, by bisection of the sorted patterns."""
+        patterns = self._patterns
+        i = bisect_left(patterns, x)
+        return i < len(patterns) and patterns[i] == x
 
     @property
     def words(self) -> tuple[Word, ...]:
@@ -145,24 +183,24 @@ class Code:
         return self._patterns
 
     def contains_zero(self) -> bool:
-        return 0 in self._bits
+        return self._patterns[0] == 0
 
     def __len__(self) -> int:
-        return len(self._bits)
+        return len(self._patterns)
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.words)
 
     def __contains__(self, w: Word) -> bool:
-        return w.length == self.n and w.bits in self._bits
+        return w.length == self.n and w.bits in self._members()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Code):
             return NotImplemented
-        return self.n == other.n and self._bits == other._bits
+        return self.n == other.n and self._patterns == other._patterns
 
     def __hash__(self) -> int:
-        return hash((self.n, self._bits))
+        return hash((self.n, self._patterns))
 
     def __repr__(self) -> str:
         return f"Code(n={self.n}, M={len(self)})"
@@ -177,4 +215,4 @@ def translate(code: Code, x: Word) -> Code:
     """The set code + x = { c + x : c in code }; same cardinality as code."""
     if x.length != code.n:
         raise ValueError(f"length mismatch: {x.length} != {code.n}")
-    return Code._from_bits(code.n, (b ^ x.bits for b in code._bits))
+    return Code._from_distinct(code.n, [b ^ x.bits for b in code.bit_patterns])

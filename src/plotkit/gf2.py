@@ -245,9 +245,9 @@ def _span(rows) -> list[int]:
 
 
 def _span_code(n: int, rows) -> Code:
-    """The span of packed length-n rows as a Code, refused over the cap."""
+    """The span of independent packed length-n rows as a Code, refused over the cap."""
     check_enumeration(1 << len(rows), f"span of dimension {len(rows)}")
-    return Code._from_bits(n, _span(rows))
+    return Code._from_distinct(n, _span(rows))
 
 
 def span_enumerate(basis: Gf2Basis) -> Code:

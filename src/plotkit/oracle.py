@@ -32,7 +32,7 @@ def kernel_bruteforce(code: Code) -> Code:
             f"brute-force kernel scans 2^n translations; n={code.n} is over "
             f"the cap of {BRUTE_KERNEL_MAX_N}"
         )
-    members = code._bits
+    members = code._members()
     patterns = code.bit_patterns
     kept = []
     for x in range(1 << code.n):
@@ -60,8 +60,8 @@ def span_bruteforce(code: Code) -> Code:
     element's sums join the round, so the sets outgrow it by one sum row
     at most before the closure is refused.
     """
-    closed = set(code._bits)
-    frontier = set(code._bits)
+    closed = set(code.bit_patterns)
+    frontier = set(closed)
     while frontier:
         new = set()
         for a in frontier:

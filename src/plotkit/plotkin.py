@@ -72,9 +72,10 @@ def plotkin_construct(c1: Code, c2: Code) -> Code:
     """Build {(u|u+v) : u in c1, v in c2}; length doubles, sizes multiply.
 
     The map (u, v) -> (u|u+v) is injective (the left half recovers u, the
-    right half then recovers v), so the result has exactly |c1|*|c2| words;
-    that count is checked against the enumeration cap, and the length 2n
-    against the word length limit, before any is built.
+    right half then recovers v), so the result has exactly |c1|*|c2| words
+    and needs no member set to deduplicate them. That count is checked
+    against the enumeration cap, and the length 2n against the word length
+    limit, before any is built.
     """
     if c1.n != c2.n:
         raise ValueError(f"length mismatch: {c1.n} != {c2.n}")
@@ -87,7 +88,7 @@ def plotkin_construct(c1: Code, c2: Code) -> Code:
     for u in c1.bit_patterns:
         x = (u << n) | u  # (u|u), and v < 2^n: x ^ v is (u|u+v)
         out += [x ^ v for v in p2]
-    return Code._from_bits(2 * n, out)
+    return Code._from_distinct(2 * n, out)
 
 
 def span_direct(b1: Gf2Basis, b2: Gf2Basis) -> Gf2Basis:

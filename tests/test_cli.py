@@ -411,3 +411,20 @@ class TestUsageErrors:
         message = f"PLOTKIN_MAX_ENUM must be a positive integer, got {raw!r}"
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["--help"], ["verify", "-h"], ["corpus", "--help"], ["frobnicate"],
+         ["verify", "a.code"], ["random", "-n", "x", "-M", "1", "--seed", "1"]],
+    )
+    def test_the_shared_parser_answers_as_a_new_one(self, argv, capsys):
+        # cli_main parses with one parser per process; build_parser still
+        # returns a new one, which prints the same help and errors.
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+        for _ in range(2):
+            rc = cli_main(argv)
+            shared = rc, capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args(argv)
+            assert shared == (exc.value.code, capsys.readouterr())

@@ -14,6 +14,10 @@ from plotkit.core import (
     translate,
     word_xor,
 )
+from plotkit.families import random_code
+from plotkit.gf2 import rref, span_enumerate
+from plotkit.invariants import kernel
+from plotkit.plotkin import plotkin_construct
 
 
 def w(s):
@@ -194,6 +198,39 @@ class TestCode:
         a = code_from_words([Word.zero(2)])
         b = code_from_words([Word.zero(3)])
         assert a != b
+
+
+class TestLazyMembers:
+    """A code of distinct words keeps its sorted tuple and builds no set until asked."""
+
+    @given(equal_length_words(count=24, max_length=10))
+    def test_a_code_of_distinct_words_matches_a_deduplicated_one(self, words):
+        n, eager = words[0].length, code_from_words(words)
+        lazy = Code._from_distinct(n, list({w.bits for w in words}))
+        assert len(lazy) == len(eager)
+        assert lazy == eager and hash(lazy) == hash(eager)
+        assert lazy.contains_zero() == eager.contains_zero()
+        assert lazy._bits is None
+        # every pattern of the length, and one past it: bisection finds
+        # exactly the members, as the set does
+        for x in range((1 << n) + 1):
+            assert lazy._has(x) == (x in eager._bits)
+        assert lazy._bits is None
+        assert all((Word(n, x) in lazy) == (Word(n, x) in eager) for x in range(1 << n))
+        assert lazy._bits == eager._bits
+
+    def test_distinct_word_callers_build_no_set(self):
+        a, b = (random_code(6, 20, s, include_zero=True) for s in (1, 2))
+        assert a._bits is not None  # random_code deduplicates its draws
+        built = (
+            plotkin_construct(a, b),
+            translate(a, Word(6, 5)),
+            span_enumerate(rref(a.words)),
+            kernel(plotkin_construct(a, b)),
+        )
+        for c in built:
+            assert c._bits is None
+            assert len(c) == len(frozenset(c.bit_patterns))
 
 
 class TestTranslate:

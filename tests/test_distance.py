@@ -353,7 +353,7 @@ class ProbeCounter(frozenset):
 
 
 def counting_probes(c: Code) -> ProbeCounter:
-    c._bits = ProbeCounter(c._bits)
+    c._bits = ProbeCounter(c._members())
     return c._bits
 
 

@@ -11,15 +11,16 @@ quarter of its span; its scan stays linear in |C| because the second
 filter runs on every code, however sparse. A random construction refuted
 its first candidate by filtering all |C| words one at a time, until the
 scan started only from the top-bit buckets whose sizes a translation can
-preserve. Membership probes are counted by swapping a fresh code's member
-set for a counting frozenset, and the size of each code handed to the
-scan is recorded, so the gates are counts, not times.
+preserve. Membership probes are counted on a fresh copy of the code built
+without its member set: each bisection of its sorted words counts, and so
+does each probe of the set once the scan builds it. The size of each code
+handed to the scan is recorded too, so the gates are counts, not times.
 """
 
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from strategies import coset_unions
 
@@ -31,7 +32,7 @@ from plotkit.families import from_generator, random_code, reed_muller
 from plotkit.gf2 import _reduce_bits, _span
 from plotkit.invariants import dim, kernel, rank
 from plotkit.oracle import BRUTE_KERNEL_MAX_N, kernel_bruteforce
-from plotkit.plotkin import plotkin_construct
+from plotkit.plotkin import _verify, plotkin_construct
 
 
 class CountingSet(frozenset):
@@ -42,12 +43,39 @@ class CountingSet(frozenset):
         return frozenset.__contains__(self, item)
 
 
+class CountingCode(Code):
+    """A code whose membership probes, by bisection or in its set, are counted.
+
+    `built_at` is the number of bisections made when the set was built, or
+    None while it is not.
+    """
+
+    __slots__ = ()
+    bisections = 0
+    built_at = None
+
+    def _has(self, x):
+        CountingSet.probes += 1
+        CountingCode.bisections += 1
+        return Code._has(self, x)
+
+    def _members(self):
+        if self._bits is None:
+            CountingCode.built_at = CountingCode.bisections
+            self._bits = CountingSet(self.bit_patterns)
+        return self._bits
+
+
+def counting_copy(code: Code) -> CountingCode:
+    """A fresh copy of `code`, without its member set, with the counts reset."""
+    CountingSet.probes = CountingCode.bisections = 0
+    CountingCode.built_at = None
+    return CountingCode._from_distinct(code.n, list(code.bit_patterns))
+
+
 def kernel_probes(code: Code) -> tuple[Code, int]:
     """Kernel of a fresh copy of `code` and the membership probes it took."""
-    fresh = Code._from_bits(code.n, code.bit_patterns)
-    fresh._bits = CountingSet(fresh._bits)
-    CountingSet.probes = 0
-    k = kernel(fresh)
+    k = kernel(counting_copy(code))
     return k, CountingSet.probes
 
 
@@ -199,6 +227,48 @@ class TestTopBitBuckets:
             assert probes <= len(c) // 16
 
 
+class TestBisectionBudget:
+    """The scan bisects until its probes would pay for the member set."""
+
+    def test_a_random_construction_never_builds_its_member_set(self):
+        # The dense-random shape: about 1,300 probes against a budget of
+        # |C|/16 = 4,096, so every probe bisects. Nothing else in verify
+        # probes the construction's members.
+        for s in (1, 3, 5):
+            c1, c2 = (random_code(10, 256, t, include_zero=True) for t in (s, s + 1))
+            c = counting_copy(plotkin_construct(c1, c2))
+            assert kernel(c) == Code._from_bits(20, [0])
+            assert CountingSet.probes == CountingCode.bisections <= len(c) // 16
+            assert c._bits is None
+            code = plotkin_construct(c1, c2)
+            assert _verify(c1, c2, code).all_checks_hold
+            assert code._bits is None
+
+    @pytest.mark.parametrize(
+        ("index", "built_at"), [(511, None), (512, 513), (1024, 1024)]
+    )
+    def test_the_budget_boundaries(self, index, built_at):
+        # A [16, 14] code puts 256 words in each bucket by the top 6 bits,
+        # and one word e outside it, at sorted position `index`, leaves only
+        # bucket 0 as candidates. The first, x, is refuted only by e, after
+        # index + 1 bisections of the 1,024 allowed. At index 511 the filter
+        # pass's at most 512 probes fit in the 512 left, and it bisects; at
+        # 512 they do not, and it builds the set. At index 1,024 the witness
+        # search bisects the whole budget and finds e first in the set.
+        linear = systematic_code(16, 14, 1).bit_patterns
+        c = Code._from_bits(16, linear + (linear[index - 1] + 1,))
+        assert c.bit_patterns[index] == linear[index - 1] + 1
+        k = kernel(counting_copy(c))
+        # |C| = 2^14 + 1 is odd and the kernel's cosets partition C
+        assert k == Code._from_bits(16, [0])
+        assert CountingCode.built_at == built_at
+        if built_at is None:
+            # 512 for the witness search, 256 first and 1 second filter probes
+            assert CountingCode.bisections == CountingSet.probes == 769
+        else:
+            assert CountingCode.bisections == built_at
+
+
 class TestLinearMinusWords:
     """The scan runs on S - C0, the few span words the translate leaves out."""
 
@@ -233,7 +303,7 @@ class TestLinearMinusWords:
         # a dropped word of the linear code moves zero out of the code, and
         # so does any word outside it
         inside = linear.bit_patterns[-1]
-        outside = next(x for x in range(1 << 12) if x not in linear._bits)
+        outside = next(x for x in range(1 << 12) if x not in linear._members())
         for x in (0, inside, outside):
             k, probes = kernel_probes(shifted(c, x))
             assert k == kernel_bruteforce(c)
@@ -420,3 +490,48 @@ def test_kernel_matches_bruteforce_on_large_kernels(c):
     # dim >= 4: the span-closure branch ran at least four times
     assert dim(k) >= 4
     assert k == kernel_bruteforce(c)
+
+
+@st.composite
+def top_gapped_unions(draw):
+    """16,384 words: the union of 8,192 cosets of {0, h}, h = 1111110000000000.
+
+    The scan splits the code into 64 buckets by the top 6 bits, which h
+    maps onto one another in pairs of equal size. So two buckets survive,
+    about 500 words, few enough for a filter pass to bisect. Every leader has
+    its low 10 bits under 768, so each bucket ends short of its range, and
+    a probe of the top bucket may lie above the largest word.
+    """
+    rng = Random(draw(st.integers(0, 1 << 32)))
+    leaders = rng.sample([a for a in range(1 << 15) if a & 1023 < 768], 8192)
+    return Code._from_bits(16, [a ^ s for a in leaders for s in (0, 63 << 10)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        small_codes(),
+        coset_unions().map(lambda drawn: drawn[0]),
+        bucketed_coset_unions().map(lambda drawn: drawn[0]),
+        linear_minus_one_plus_cosets(),
+        large_kernel_codes(),
+        top_gapped_unions(),
+    )
+)
+def test_kernel_by_bisection_matches_bruteforce(c):
+    # The codes above are built with their member sets, so their scans
+    # probe the set; a copy built without one bisects first. It bisects
+    # within the budget, builds the set at most once and bisects no more.
+    copy = counting_copy(c)
+    assert kernel(copy) == kernel_bruteforce(c)
+    budget = len(c) // invariants._BISECT_SHARE
+    assert CountingCode.bisections <= budget
+    if CountingCode.built_at is None:
+        assert CountingSet.probes == CountingCode.bisections
+        event("no member set")
+    else:
+        assert CountingCode.built_at == CountingCode.bisections
+        assert CountingSet.probes > CountingCode.bisections
+        if budget:
+            spent = CountingCode.built_at == budget
+            event("set built at the budget" if spent else "set built below it")
