@@ -17,7 +17,7 @@ import struct
 import warnings
 from typing import Sequence
 
-from .core import Code, _check_length
+from .core import Code, _check_length, _little_endian, _word_bytes
 from .gf2 import Gf2Basis, _reduce_bits, _span_code
 
 # _DIGITS[b] maps a byte to the character of its bit b, counted from the top:
@@ -25,12 +25,6 @@ from .gf2 import Gf2Basis, _reduce_bits, _span_code
 # repetition, not by a generator of 256 ints: building 8 tables from a
 # generator raised the peak RSS of `import plotkit.cli` by about 128 KB.
 _DIGITS = [(b"0" * r + b"1" * r) * (128 // r) for r in (128, 64, 32, 16, 8, 4, 2, 1)]
-
-
-def _word_bytes(n: int) -> int:
-    """Bytes per word in a plane layout: one 64-bit limb, which `struct`
-    converts in bulk, up to n = 64; the fewest whole bytes above that."""
-    return 8 if n <= 64 else (n + 7) // 8
 
 
 def _planes(n: int):
@@ -75,10 +69,7 @@ def _pack(n: int, words: Sequence[int]) -> str:
     one buffer whose newline column is set when it is made.
     """
     stride, size, m = n + 1, _word_bytes(n), len(words)
-    if size == 8:
-        raw = struct.pack(f"<{m}Q", *words)
-    else:
-        raw = b"".join([w.to_bytes(size, "little") for w in words])
+    raw = _little_endian(n, words)
     out = bytearray(b"\n" * (stride * m))
     for p, first in _planes(n):
         plane = raw[size - 1 - p :: size]

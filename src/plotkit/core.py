@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 # Guard against accidental huge allocations; rebind if you really need more.
 MAX_LENGTH = 4096
@@ -13,6 +14,26 @@ MAX_LENGTH = 4096
 def _check_length(n: int) -> None:
     if not 1 <= n <= MAX_LENGTH:
         raise ValueError(f"word length must be in 1..{MAX_LENGTH}, got {n}")
+
+
+def _word_bytes(n: int) -> int:
+    """Bytes per word in `_little_endian`: one 64-bit limb, which `struct`
+    converts in bulk, up to n = 64; the fewest whole bytes above that."""
+    return 8 if n <= 64 else (n + 7) // 8
+
+
+def _little_endian(n: int, words: Sequence[int]) -> bytes:
+    """The length-n words' little-endian bytes, `_word_bytes(n)` per word.
+
+    Up to n = 64 this is one `struct.pack` of all the words; above, one
+    `int.to_bytes` per word. A word of more bits than its slot holds is
+    an error: `struct.error` in the first case, `OverflowError` in the
+    second, so callers check the range first.
+    """
+    size = _word_bytes(n)
+    if size == 8:
+        return struct.pack(f"<{len(words)}Q", *words)
+    return b"".join([w.to_bytes(size, "little") for w in words])
 
 
 @dataclass(frozen=True, order=True, repr=False)

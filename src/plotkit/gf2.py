@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice
 from typing import Iterable
 
-from .core import Code, Word, _check_length
+from .core import Code, Word, _check_length, _little_endian, _word_bytes
 
 # Ceiling on materialized span sizes (number of words). Override with the
 # PLOTKIN_MAX_ENUM environment variable.
@@ -96,6 +95,12 @@ def _eliminate(batch: list[int], n: int, pivots: dict[int, int]) -> None:
     overlap and no carry crosses a slot. Each step clears bit p from every
     marked row, as row's top bit is p, and leaves the bits above p alone.
 
+    The batch's bytes come from `core._little_endian`: one `struct.pack`
+    into 8-byte slots up to n = 64, which wb strided byte copies narrow to
+    wb bytes when n <= 56, and one `int.to_bytes` per row above n = 64.
+    The range check comes first, so a row too long for its slot raises
+    ValueError here and never a packing error.
+
     - The known pivot columns are cleared from high to low, one step each,
       which leaves b zero when every row is in their span: about r steps
       per batch, not n.
@@ -106,13 +111,15 @@ def _eliminate(batch: list[int], n: int, pivots: dict[int, int]) -> None:
     """
     if max(batch) >> n or max(pivots, default=0) >= n:
         raise ValueError(f"a row is longer than {n} bits")
-    wb = (n + 7) // 8
+    wb, size = (n + 7) // 8, _word_bytes(n)
     mask, slot = (1 << n) - 1, 8 * wb
-    # writelines keeps one row's bytes alive at a time, where b"".join
-    # would hold all of them: a 2,048-row batch peaked at 13 KiB, not 256.
-    packed = io.BytesIO()
-    packed.writelines(map(int.to_bytes, batch, repeat(wb), repeat("little")))
-    b = int.from_bytes(packed.getvalue(), "little")
+    raw = _little_endian(n, batch)
+    if size > wb:
+        narrow = bytearray(wb * len(batch))
+        for i in range(wb):
+            narrow[i::wb] = raw[i::size]
+        raw = narrow
+    b = int.from_bytes(raw, "little")
     ones = int.from_bytes((b"\x01" + bytes(wb - 1)) * len(batch), "little")
     for p in sorted(pivots, reverse=True):
         if sel := (b >> p) & ones:
@@ -205,18 +212,25 @@ _STRIDE = 2654435761
 def _code_rows(code: Code) -> tuple[int, ...]:
     """RREF rows of the code's span as packed ints, reduced once per code.
 
-    Any order of the words gives the same RREF. In sorted order the words
-    with high pivots come late, so a full-rank code would not reach rank n
-    before about half of its words; the words are visited in stride order
-    instead, which reached it within a few dozen words on random codes,
-    inside the per-word prefix of _reduce_bits. A code of rank below n,
-    such as a linear code plus a few words or a Reed-Muller code, is read
-    to its end, and past its first 2n words in packed batches.
+    Any order of the words gives the same RREF, and a word read twice adds
+    nothing to it. In sorted order the words with high pivots come late,
+    so a full-rank code would not reach rank n before about half of its
+    words. The per-row prefix of _reduce_bits is fed the first 2n words in
+    stride order instead, which reached rank n within a few dozen words
+    on random codes; a strided slice of the sorted words would not, as its
+    words share their low bits. A code that is still short of rank n, such
+    as a linear code plus a few words or a Reed-Muller code, then has the
+    sorted tuple itself read in packed batches, with no Python step per
+    word. A code of at most 2n words, or of rows too long to pack, is
+    read in stride order alone, which adds no batch.
     """
     if code._rref is None:
-        p, m = code.bit_patterns, len(code)
-        spread = (p[i * _STRIDE % m] for i in range(m))
-        code._rref = tuple(_reduce_bits(spread, code.n))
+        p, m, n = code.bit_patterns, len(code), code.n
+        head = 2 * n if 2 * n < m and n <= _BULK_MAX_N else m
+        rows = (p[i * _STRIDE % m] for i in range(head))
+        if head < m:
+            rows = chain(rows, p)
+        code._rref = tuple(_reduce_bits(rows, n))
     return code._rref
 
 

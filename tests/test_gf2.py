@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from strategies import coset_unions
 
 import plotkit.gf2 as gf2
-from plotkit.core import Word, code_from_words, word_xor
+from plotkit.core import Code, Word, code_from_words, word_xor
 from plotkit.families import _splitmix64, from_generator, reed_muller
 from plotkit.gf2 import (
     Gf2Basis,
+    _code_rows,
     _reduce_bits,
     _span,
     code_basis,
@@ -120,14 +121,15 @@ def rows_reaching_full_rank(draw):
 
 
 @st.composite
-def rank_deficient_rows(draw):
+def rank_deficient_rows(draw, lengths=(8, 9, 16, 17, 64, 65)):
     """Sums of k random rows of length n, and 1 to 6 other rows past 2n.
 
-    n crosses byte boundaries, and there are 2n to 6n sums: the prefix of
-    2n rows and one or two batches after it. The other rows, all placed
-    after the prefix, often raise the rank inside a batch.
+    n crosses byte boundaries, drawn from `lengths` or from 1..70, and
+    there are 2n to 6n sums: the prefix of 2n rows and one or two batches
+    after it. The other rows, all placed after the prefix, often raise
+    the rank inside a batch.
     """
-    n = draw(st.one_of(st.sampled_from([8, 9, 16, 17, 64, 65]), st.integers(1, 70)))
+    n = draw(st.one_of(st.sampled_from(lengths), st.integers(1, 70)))
     rng = draw(st.randoms(use_true_random=False))
     k = draw(st.integers(0, n))
     basis = [rng.getrandbits(n) for _ in range(k)]
@@ -224,14 +226,26 @@ class TestReduceBits:
         assert sizes[:7] == [64, 128, 256, 512, 1024, 2048, 4096]
         assert max(sizes) == 4096 and sum(sizes) == len(rows) - 64
 
-    @pytest.mark.parametrize("at", [0, 40])
-    def test_row_out_of_range_is_refused(self, at):
-        # Rows of length 8 and rank 1. A bad row in the prefix is refused
+    @pytest.mark.parametrize(
+        "n, bad, at",
+        [
+            pytest.param(8, 1 << 8, 0, id="0"),
+            pytest.param(8, 1 << 8, 40, id="40"),
+            pytest.param(60, 1 << 63, 130, id="60-bits-below-2^64"),
+            pytest.param(60, 1 << 64, 130, id="60-bits-from-2^64"),
+        ],
+    )
+    def test_row_out_of_range_is_refused(self, n, bad, at):
+        # Rows of length n and rank 1. A bad row in the prefix is refused
         # when the first batch is packed, and one in that batch as well.
-        rows = [0b11] * 60
-        rows[at] = 1 << 8
-        with pytest.raises(ValueError, match="longer than 8 bits"):
-            _reduce_bits(rows, 8)
+        # At n = 60 the batch is packed by struct into 8-byte slots: a row
+        # below 2^64 would fit its slot and one above would make struct
+        # raise struct.error, which is not a ValueError, so the range is
+        # checked before packing.
+        rows = [0b11] * (2 * n + 44)
+        rows[at] = bad
+        with pytest.raises(ValueError, match=f"longer than {n} bits"):
+            _reduce_bits(rows, n)
 
     def test_full_rank_within_the_prefix_packs_nothing(self, no_packing):
         rows = [1 << i for i in range(9)] + [0b101] * 100
@@ -242,6 +256,67 @@ class TestReduceBits:
         n = gf2._BULK_MAX_N + 1
         rows = [w.bits for w in random_words(11, count=5, n=n)] * 60
         assert _reduce_bits(rows, n) == reduce_bits_by_row_scan(rows)
+
+
+class TestCodeRows:
+    @settings(deadline=None)
+    @given(st.one_of(
+        coset_unions().map(lambda drawn: drawn[0]),
+        rank_deficient_rows(lengths=(56, 57, 64, 65)).map(
+            lambda case: Code._from_bits(*case)
+        ),
+    ))
+    def test_matches_row_scan(self, code):
+        # Up to n = 56 the struct slots are narrowed, up to 64 they stay
+        # 8 bytes wide, and above 64 each word is packed on its own.
+        rows = list(code.bit_patterns)
+        assert list(_code_rows(code)) == reduce_bits_by_row_scan(rows)
+
+    @pytest.mark.parametrize("n", [56, 57, 64, 65])
+    def test_each_slot_width_reaches_a_batch(self, n, monkeypatch):
+        # The span of 12 random words and one more word, 4,097 words of
+        # rank 13 < n, at the last narrowed slot width, the first full
+        # 8-byte one, the last 8-byte one and the first packed per word.
+        batches = []
+        eliminate = gf2._eliminate
+
+        def counted(batch, n, pivots):
+            batches.append(len(batch))
+            eliminate(batch, n, pivots)
+
+        monkeypatch.setattr(gf2, "_eliminate", counted)
+        rows = [w.bits for w in random_words(n, count=13, n=n)]
+        code = Code._from_bits(n, [*_span(rows[:12]), rows[12]])
+        expected = reduce_bits_by_row_scan(list(code.bit_patterns))
+        assert list(_code_rows(code)) == expected and len(expected) == 13
+        assert sum(batches) == len(code)
+
+    def test_reed_muller_2_5_feeds_its_sorted_words_to_the_batches(self, monkeypatch):
+        # 65,536 words of length 32 and rank 16: the per-row prefix reads
+        # 64 words in stride order, and the batches then read every word
+        # of the sorted tuple once, in 64, 128, ... 4,096 rows.
+        batches, fed = [], []
+        eliminate, reduce_bits = gf2._eliminate, gf2._reduce_bits
+
+        def counted(batch, n, pivots):
+            batches.append(batch)
+            eliminate(batch, n, pivots)
+
+        def recorded(patterns, n):
+            fed.extend(patterns)
+            return reduce_bits(fed, n)
+
+        monkeypatch.setattr(gf2, "_eliminate", counted)
+        monkeypatch.setattr(gf2, "_reduce_bits", recorded)
+        p = reed_muller(2, 5).bit_patterns
+        code = Code._from_distinct(32, list(p))  # a copy with no rows cached
+        assert list(gf2._code_rows(code)) == reduce_bits_by_row_scan(list(p))
+        assert fed[:64] == [p[i * gf2._STRIDE % len(p)] for i in range(64)]
+        assert fed[64:] == list(p)
+        sizes = [len(batch) for batch in batches]
+        assert sizes[:7] == [64, 128, 256, 512, 1024, 2048, 4096]
+        assert max(sizes) == 4096
+        assert [v for batch in batches for v in batch] == list(p)
 
 
 class TestCodeBasis:
