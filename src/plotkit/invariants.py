@@ -361,6 +361,9 @@ def kernel(code: Code) -> Code:
     witness of one kind or the other: the result is exact and measured
     from the code alone.
 
+    A code of odd size above 1 gets the kernel {0}, cached with no row
+    reduction and no scan: it is a union of cosets of its kernel, so the
+    kernel's size, a power of two, divides |C|.
     A linear code minus a few words, or a coset of one, is scanned on the
     k span words that C + c0 misses instead, when k^3 <= |C|^2: there a
     witness search or a full probe walks k words, not |C|. A linear code
@@ -368,10 +371,13 @@ def kernel(code: Code) -> Code:
     which would be a reference cycle; any other code is scanned once and
     its kernel cached on it.
     """
-    if is_linear(code):
-        return code
     if code._kernel is None:
-        code._kernel = _kernel_scan(_complement(code) or code)
+        if len(code) > 1 and len(code) % 2:
+            code._kernel = Code._from_distinct(code.n, [0])
+        elif is_linear(code):
+            return code
+        else:
+            code._kernel = _kernel_scan(_complement(code) or code)
     return code._kernel
 
 

@@ -15,22 +15,29 @@ preserve. Membership probes are counted on a fresh copy of the code built
 without its member set: each bisection of its sorted words counts, and so
 does each probe of the set once the scan builds it. The size of each code
 handed to the scan is recorded too, so the gates are counts, not times.
+
+A code of odd size above 1 is never scanned: the cosets of its kernel
+partition it, so the kernel is {0}, read off with no probe and no row
+reduction. Odd worst cases are gated by calling the scan directly, and
+the complement is pinned by even twins: a linear code minus two words.
 """
 
 from random import Random
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from strategies import coset_unions
 
+import plotkit.cli as cli
+import plotkit.gf2 as gf2
 import plotkit.invariants as invariants
 from plotkit.cli import cli_main
 from plotkit.codefile import format_code_file
 from plotkit.core import Code, Word
 from plotkit.families import from_generator, random_code, reed_muller
 from plotkit.gf2 import _reduce_bits, _span
-from plotkit.invariants import dim, kernel, rank
+from plotkit.invariants import dim, is_linear, kernel, rank
 from plotkit.oracle import BRUTE_KERNEL_MAX_N, kernel_bruteforce
 from plotkit.plotkin import _verify, plotkin_construct
 
@@ -76,6 +83,16 @@ def counting_copy(code: Code) -> CountingCode:
 def kernel_probes(code: Code) -> tuple[Code, int]:
     """Kernel of a fresh copy of `code` and the membership probes it took."""
     k = kernel(counting_copy(code))
+    return k, CountingSet.probes
+
+
+def scan_probes(code: Code) -> tuple[Code, int]:
+    """The scan's kernel of a fresh copy of `code`, and the probes it took.
+
+    kernel() reads {0} off a code of odd size without scanning it, so the
+    scan's own gates on odd shapes call it directly.
+    """
+    k = invariants._kernel_scan(counting_copy(code))
     return k, CountingSet.probes
 
 
@@ -145,17 +162,17 @@ class TestWorstCases:
     def test_reed_muller_plus_one_word(self):
         c = plus_largest_outside(reed_muller(2, 4))
         assert len(c) == 2049
-        k, probes = kernel_probes(c)
-        assert k == kernel_bruteforce(c)
+        k, probes = scan_probes(c)
+        assert k == kernel(c) == kernel_bruteforce(c)
         assert probes <= 3 * len(c)
 
     def test_systematic_18_11_plus_one_word(self):
         for seed in (1, 2, 3):
             c = plus_largest_outside(systematic_code(18, 11, seed))
             assert c.n > BRUTE_KERNEL_MAX_N
-            k, probes = kernel_probes(c)
+            k, probes = scan_probes(c)
             # |C| = 2^11 + 1 is odd and the kernel's cosets partition C
-            assert k == Code._from_bits(18, [0])
+            assert k == kernel(c) == Code._from_bits(18, [0])
             assert probes <= 3 * len(c)
 
     def test_large_kernel_probes_only_its_basis_in_full(self):
@@ -181,9 +198,9 @@ class TestWorstCases:
         # code, and drops them all at once.
         c = minus_one_plus_coset(16, 12, 6, seed=1)
         assert len(c) == 4159 and rank(c) == 13
-        k, probes = kernel_probes(c)
+        k, probes = scan_probes(c)
         # |C| is odd and the kernel's cosets partition C
-        assert k == kernel_bruteforce(c) == Code._from_bits(16, [0])
+        assert k == kernel(c) == kernel_bruteforce(c) == Code._from_bits(16, [0])
         assert probes <= 3 * len(c)
 
     def test_the_same_code_shifted_outside_its_span(self):
@@ -195,8 +212,8 @@ class TestWorstCases:
         span = set(_span(_reduce_bits(c.bit_patterns, 16)))
         c = shifted(c, next(x for x in range(1 << 16) if x not in span))
         assert len(c) == 4159 and rank(c) == 14 and not c.contains_zero()
-        k, probes = kernel_probes(c)
-        assert k == kernel_bruteforce(c)
+        k, probes = scan_probes(c)
+        assert k == kernel(c) == kernel_bruteforce(c)
         assert probes <= 3 * len(c)
 
     def test_the_same_code_plus_a_word_outside_its_span(self):
@@ -258,9 +275,9 @@ class TestBisectionBudget:
         linear = systematic_code(16, 14, 1).bit_patterns
         c = Code._from_bits(16, linear + (linear[index - 1] + 1,))
         assert c.bit_patterns[index] == linear[index - 1] + 1
-        k = kernel(counting_copy(c))
+        k = invariants._kernel_scan(counting_copy(c))
         # |C| = 2^14 + 1 is odd and the kernel's cosets partition C
-        assert k == Code._from_bits(16, [0])
+        assert k == kernel(c) == Code._from_bits(16, [0])
         assert CountingCode.built_at == built_at
         if built_at is None:
             # 512 for the witness search, 256 first and 1 second filter probes
@@ -269,15 +286,42 @@ class TestBisectionBudget:
             assert CountingCode.bisections == built_at
 
 
+@pytest.fixture
+def reductions(monkeypatch):
+    """The length of each row reduction made so far, by rank or complement."""
+    lengths = []
+    for module in (gf2, invariants):
+        reduce_bits = module._reduce_bits
+
+        def counted(patterns, n, reduce_bits=reduce_bits):
+            lengths.append(n)
+            return reduce_bits(patterns, n)
+
+        monkeypatch.setattr(module, "_reduce_bits", counted)
+    return lengths
+
+
 class TestLinearMinusWords:
-    """The scan runs on S - C0, the few span words the translate leaves out."""
+    """The scan runs on S - C0, the few span words the translate leaves out.
+
+    A linear code minus one word has odd size, so kernel() reads {0} off
+    it with no scan and no probe. Minus two words it has even size, and
+    takes the complement.
+    """
 
     def test_reed_muller_minus_its_largest_word(self, scanned):
         c = minus_largest(reed_muller(2, 4))
         k, probes = kernel_probes(c)
         assert k == kernel_bruteforce(c) == Code._from_bits(16, [0])
-        assert scanned == [1]
-        # one probe per span word, to find the missing one
+        assert scanned == [] and probes == 0
+
+    def test_reed_muller_minus_its_two_largest_words(self, scanned):
+        c = minus_largest(reed_muller(2, 4), 2)
+        k, probes = kernel_probes(c)
+        # the two missing words a, b leave the kernel {0, a + b}
+        assert k == kernel_bruteforce(c) and dim(k) == 1
+        assert scanned == [2]
+        # one probe per span word, to find the missing ones
         assert probes <= 3 * len(c)
 
     def test_systematic_16_11_minus_one_word(self, scanned):
@@ -285,9 +329,17 @@ class TestLinearMinusWords:
             c = minus_largest(systematic_code(16, 11, seed))
             k, probes = kernel_probes(c)
             # |C| = 2^11 - 1 is odd and the kernel's cosets partition C
-            assert k == Code._from_bits(16, [0])
+            assert k == kernel_bruteforce(c) == Code._from_bits(16, [0])
+            assert probes == 0
+        assert scanned == []
+
+    def test_systematic_16_11_minus_two_words(self, scanned):
+        for seed in (1, 2, 3):
+            c = minus_largest(systematic_code(16, 11, seed), 2)
+            k, probes = kernel_probes(c)
+            assert k == kernel_bruteforce(c)
             assert probes <= 3 * len(c)
-        assert scanned == [1, 1, 1]
+        assert scanned == [2, 2, 2]
 
     def test_cosets_of_a_linear_code_minus_four_words(self, scanned, monkeypatch):
         translates = []
@@ -315,12 +367,16 @@ class TestLinearMinusWords:
 
     def test_too_many_missing_words_scan_the_code(self, scanned):
         # 128 - 22 = 106 words miss k = 22 of their span, 22^3 <= 106^2;
-        # 105 words miss 23, and 23^3 > 105^2
+        # 104 words miss 24, and 24^3 > 104^2. The 105 words between them
+        # have odd size and are not scanned.
         linear = systematic_code(10, 7, 8)
-        for count in (22, 23):
+        for count in (22, 23, 24):
             c = minus_largest(linear, count)
-            assert kernel(c) == kernel_bruteforce(c)
-        assert scanned == [22, 105]
+            k, probes = kernel_probes(c)
+            assert k == kernel_bruteforce(c)
+            if count == 23:
+                assert k == Code._from_bits(10, [0]) and probes == 0
+        assert scanned == [22, 104]
 
     def test_reed_muller_2_5_minus_300_random_words(self, scanned, tmp_path, capsys):
         # 65,236 words miss k = 300 of their span: past sqrt(M) = 255, where
@@ -341,21 +397,40 @@ class TestLinearMinusWords:
         assert capsys.readouterr().out.splitlines()[0] == "# kernel n=32 dim=0 M=1"
 
     def test_a_span_over_the_cap_scans_the_code(self, scanned, monkeypatch):
-        c = minus_largest(systematic_code(10, 7, 8))
+        # 126 words miss 2 of their 128-word span, which is over a cap of
+        # 127. The 127 words of the linear code minus one have odd size and
+        # are not scanned.
+        linear = systematic_code(10, 7, 8)
         monkeypatch.setenv("PLOTKIN_MAX_ENUM", "127")
-        assert kernel(c) == kernel_bruteforce(c)
-        assert scanned == [127]
+        for count in (1, 2):
+            c = minus_largest(linear, count)
+            k, probes = kernel_probes(c)
+            assert k == kernel_bruteforce(c)
+            if count == 1:
+                assert k == Code._from_bits(10, [0]) and probes == 0
+        assert scanned == [126]
 
     def test_cli_kernel_of_reed_muller_2_5_minus_its_largest_word(
-        self, scanned, tmp_path, capsys
+        self, scanned, reductions, tmp_path, capsys
     ):
-        # 65,535 words: the whole-code scan needed about |C|^2 probes here
+        # 65,535 words: the whole-code scan needed about |C|^2 probes here,
+        # and the odd size needs neither a scan nor a row reduction
         c = minus_largest(reed_muller(2, 5))
         path = tmp_path / "rm25.code"
         path.write_text(format_code_file(c))
         assert cli_main(["kernel", str(path)]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "# kernel n=32 dim=0 M=1"
-        assert scanned == [1]
+        assert scanned == [] and reductions == []
+
+    def test_cli_kernel_of_reed_muller_2_5_minus_its_two_largest_words(
+        self, scanned, tmp_path, capsys
+    ):
+        c = minus_largest(reed_muller(2, 5), 2)
+        path = tmp_path / "rm25-2.code"
+        path.write_text(format_code_file(c))
+        assert cli_main(["kernel", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "# kernel n=32 dim=1 M=2"
+        assert scanned == [2]
 
 
 @st.composite
@@ -522,8 +597,11 @@ def test_kernel_by_bisection_matches_bruteforce(c):
     # The codes above are built with their member sets, so their scans
     # probe the set; a copy built without one bisects first. It bisects
     # within the budget, builds the set at most once and bisects no more.
+    # kernel() reads {0} off an odd size unscanned, so there the scan is
+    # called directly.
     copy = counting_copy(c)
-    assert kernel(copy) == kernel_bruteforce(c)
+    scan = invariants._kernel_scan if len(c) % 2 else kernel
+    assert scan(copy) == kernel_bruteforce(c)
     budget = len(c) // invariants._BISECT_SHARE
     assert CountingCode.bisections <= budget
     if CountingCode.built_at is None:
@@ -535,3 +613,94 @@ def test_kernel_by_bisection_matches_bruteforce(c):
         if budget:
             spent = CountingCode.built_at == budget
             event("set built at the budget" if spent else "set built below it")
+
+
+@st.composite
+def odd_sized_codes(draw):
+    """A code of odd size above 1: a coset union or a seeded random code.
+
+    A coset union of even size gains or loses one drawn word, which leaves
+    all but at most one of its cosets whole.
+    """
+    if draw(st.booleans()):
+        c, _ = draw(coset_unions())
+        if len(c) % 2 == 0:
+            x = draw(st.integers(0, (1 << c.n) - 1))
+            c = Code._from_bits(c.n, set(c.bit_patterns) ^ {x})
+        assume(len(c) > 1)
+        return c
+    n = draw(st.integers(2, 10))
+    m = 2 * draw(st.integers(1, min(20, (1 << (n - 1)) - 1))) + 1
+    seed, zero = draw(st.integers(0, 1 << 32)), draw(st.booleans())
+    return random_code(n, m, seed, include_zero=zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(odd_sized_codes())
+def test_an_odd_sized_code_has_the_kernel_zero_unscanned(c):
+    # The kernel's cosets partition the code, so |K| divides an odd |C|.
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (gf2, invariants):
+            mp.setattr(module, "_reduce_bits", lambda *args: calls.append("reduce"))
+        mp.setattr(invariants, "_kernel_scan", lambda code: calls.append("scan"))
+        k = kernel(c)
+        assert calls == [] and c._rref is None
+        assert kernel(c) is k is c._kernel
+    assert k == kernel_bruteforce(c) == Code._from_bits(c.n, [0])
+
+
+def test_a_one_word_code_keeps_the_linear_test():
+    # {0} is linear and its own kernel, never stored in its own slot
+    zero = Code._from_bits(10, [0])
+    assert kernel(zero) is zero and zero._kernel is None
+    word = Code._from_bits(10, [5])
+    assert kernel(word) == kernel_bruteforce(word) == zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_codes(), coset_unions().map(lambda drawn: drawn[0])))
+def test_an_even_sized_code_is_scanned(c):
+    assume(len(c) % 2 == 0 and not is_linear(c))
+    sizes = []
+    with pytest.MonkeyPatch.context() as mp:
+        scan = invariants._kernel_scan
+        mp.setattr(
+            invariants, "_kernel_scan", lambda code: sizes.append(len(code)) or scan(code)
+        )
+        k = kernel(c)
+    assert len(sizes) == 1 and k == kernel_bruteforce(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        odd_sized_codes(),
+        linear_minus_words(),
+        linear_minus_one_plus_cosets(),
+    ).filter(lambda c: len(c) > 1 and len(c) % 2)
+)
+def test_the_scan_agrees_with_the_certificate_on_odd_sizes(c):
+    # kernel() no longer scans these, so the scan is checked on them here.
+    assert invariants._kernel_scan(c) == kernel(c) == kernel_bruteforce(c)
+
+
+def test_the_oracle_brute_forces_an_odd_sized_pair(tmp_path, monkeypatch, capsys):
+    # The certificate gives all three kernels; the oracle still scans all
+    # 2^n translations of each code and must agree.
+    found = []
+
+    def counted(code):
+        k = kernel_bruteforce(code)
+        found.append((len(code), k))
+        return k
+
+    monkeypatch.setattr(cli, "kernel_bruteforce", counted)
+    paths = []
+    for name, m, seed in (("a.code", 9, 1), ("b.code", 5, 2)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(format_code_file(random_code(6, m, seed, include_zero=True)))
+    assert cli_main(["verify", "--oracle", *map(str, paths)]) == 0
+    assert "oracle cross-check          pass" in capsys.readouterr().out
+    assert [m for m, _ in found] == [9, 5, 45]
+    assert all(k == Code._from_bits(k.n, [0]) for _, k in found)
