@@ -8,7 +8,7 @@ from itertools import chain, combinations, islice, pairwise
 from math import comb
 
 from .core import Code
-from .gf2 import _code_rows, _reduce_bits, _span, enumeration_cap
+from .gf2 import _code_rows, enumeration_cap
 
 
 @dataclass(frozen=True)
@@ -257,6 +257,15 @@ def _kernel_scan(code: Code) -> Code:
     refutation drops each survivor x' with x' + w outside the code, and
     each x' with x' + h a codeword, where h = w + x is outside.
 
+    The code is a union of cosets of the kernel K' found so far, and x
+    maps one word of a coset out of the code exactly when it maps every
+    word of it out. So the witness search walks only `reps`, the
+    codewords zero on the leading bit of every word of a basis of K': one
+    per coset. The candidates are cut the same way, as x' + K' holds a
+    kernel word only when x' is one. c0 is zero on those bits, or c0 + x
+    would be a smaller codeword, so a candidate b + c0 is zero on them
+    when b is.
+
     A code without its member set is probed by bisection until the probes
     made reach |C| // _BISECT_SHARE; then the set is built, once, for the
     rest of the scan. A filter pass, which needs at most two probes per
@@ -273,25 +282,26 @@ def _kernel_scan(code: Code) -> Code:
     # smallest candidate left: on a linear code plus one high word, a
     # linear word, whose witness (the extra word) filters out the rest.
     survivors = _candidates(patterns, code.n)
-    span = [0]
+    reps, span = patterns, [0]
     while len(survivors) > 1:
         x = survivors[1] ^ c0
-        witness, start = None, 0  # codewords before start were bisected
+        witness, start = None, 0  # reps before start were bisected
         if left:
-            witness = next((c for c in islice(patterns, left) if not has(c ^ x)), None)
+            witness = next((c for c in islice(reps, left) if not has(c ^ x)), None)
             if witness is None:
-                start = min(left, len(patterns))
+                start = min(left, len(reps))
                 left -= start
             else:
-                left -= bisect_left(patterns, witness) + 1
-        if witness is None and start < len(patterns):
+                left -= bisect_left(reps, witness) + 1
+        if witness is None and start < len(reps):
             members, left = code._members(), 0
-            rest = islice(patterns, start, None) if start else patterns
+            rest = islice(reps, start, None) if start else reps
             witness = next((c for c in rest if c ^ x not in members), None)
         if witness is None:
-            new = {s ^ x for s in span}
-            span += new
-            survivors = [b for b in survivors if b ^ c0 not in new]
+            span += [s ^ x for s in span]
+            bit = 1 << (x.bit_length() - 1)
+            survivors = [b for b in survivors if not b & bit]
+            reps = [c for c in reps if not c & bit]
         elif 2 * len(survivors) <= left:
             z = c0 ^ witness
             kept = [b for b in survivors if has(b ^ z)]
@@ -305,41 +315,6 @@ def _kernel_scan(code: Code) -> Code:
     return Code._from_distinct(code.n, span)
 
 
-def _near_full(r: int, m: int) -> bool:
-    """m words leave k >= 1 words of a 2^r-word span out, k^3 <= m^2, within the cap.
-
-    Scanning the k left-out words costs at most about 2k^2 probes (at most
-    k passes of at most 2k), and k^3 <= m^2 keeps that under about 2m^(4/3).
-    """
-    k = (1 << r) - m
-    return k >= 1 and k**3 <= m * m and 1 << r <= enumeration_cap()
-
-
-def _complement(code: Code) -> Code | None:
-    """S - C0, the few words of a span S that C0 = C + c0 leaves out, or None.
-
-    C0 holds zero, so its kernel lies in S, and x in S fixes C0 exactly
-    when it fixes S - C0: the two have the kernel of C. A span word s is
-    in C0 when s + c0 is a codeword, so C0 is read through the code's own
-    members and never built.
-
-    Without the zero word, C0 may span one dimension less than C, whose
-    rank is r. Its rows are reduced only when m words are near full at
-    that least rank, r - 1: that needs m < 2^(r-1), so k = 2^r - m > m and
-    k^3 > m^2, and m words are then never near full at rank r.
-    """
-    patterns, rows = code.bit_patterns, _code_rows(code)
-    # The words are sorted, so c0 is 0 exactly when the code holds zero.
-    c0 = patterns[0]
-    if c0 and _near_full(len(rows) - 1, len(patterns)):
-        rows = _reduce_bits((b ^ c0 for b in patterns), code.n)
-    if not _near_full(len(rows), len(patterns)):
-        return None
-    members = code._members()
-    missing = [s for s in _span(rows) if s ^ c0 not in members]
-    return Code._from_distinct(code.n, missing)
-
-
 def kernel(code: Code) -> Code:
     """All x with code + x = code; a subspace of GF(2)^n, never empty.
 
@@ -351,25 +326,23 @@ def kernel(code: Code) -> Code:
     by top(c0) keeps every bucket size; on random codes that is c0's
     bucket alone. One survivor x is then probed at a time: a codeword w
     with w + x outside the code refutes x and filters every survivor x'
-    (x' + w must be a codeword) in one pass; a candidate with no witness
-    doubles the span of the kernel words found, whose new members leave
-    the survivors unprobed. A kernel word keeps every non-codeword
-    outside the code, so the same pass also drops each x' that maps the
-    non-codeword h = w + x into the code. So only dim(kernel) candidates
-    are probed in full, every word kept is probed or a sum of probed
-    words, and every word dropped has a certificate, a bucket size or a
-    witness of one kind or the other: the result is exact and measured
-    from the code alone.
+    (x' + w must be a codeword) in one pass. A kernel word keeps every
+    non-codeword outside the code, so the same pass also drops each x'
+    that maps the non-codeword h = w + x into the code. A candidate with
+    no witness doubles the kernel K' found so far, and from then on the
+    witness search and the survivors hold one word per coset of K'. So
+    only dim(kernel) candidates are probed in full, each on |C| / |K'|
+    codewords, every word kept is probed or a sum of probed words, and
+    every word dropped has a certificate, a bucket size or a witness of
+    one kind or the other: the result is exact and measured from the
+    code alone.
 
     A code of odd size above 1 gets the kernel {0}, cached with no row
     reduction and no scan: it is a union of cosets of its kernel, so the
-    kernel's size, a power of two, divides |C|.
-    A linear code minus a few words, or a coset of one, is scanned on the
-    k span words that C + c0 misses instead, when k^3 <= |C|^2: there a
-    witness search or a full probe walks k words, not |C|. A linear code
-    is its own kernel and is not scanned, nor stored in its own slot,
-    which would be a reference cycle; any other code is scanned once and
-    its kernel cached on it.
+    kernel's size, a power of two, divides |C|. A linear code is its own
+    kernel and is not scanned, nor stored in its own slot, which would be
+    a reference cycle; any other code is scanned once and its kernel
+    cached on it.
     """
     if code._kernel is None:
         if len(code) > 1 and len(code) % 2:
@@ -377,7 +350,7 @@ def kernel(code: Code) -> Code:
         elif is_linear(code):
             return code
         else:
-            code._kernel = _kernel_scan(_complement(code) or code)
+            code._kernel = _kernel_scan(code)
     return code._kernel
 
 

@@ -2,24 +2,26 @@
 
 Near-linear codes (a linear code plus one word outside it) made the old
 per-candidate scan quadratic: every candidate survived every probe until
-the extra word. A linear code minus a few words did too, until the scan
-moved to the few words its translate leaves out of its span. So did a linear
-code minus one word joined with a small coset of a subcode, until each
-refuted candidate also filtered the survivors by a non-codeword. That code
-shifted by a word outside its span, or joined with one, fills only a
-quarter of its span; its scan stays linear in |C| because the second
-filter runs on every code, however sparse. A random construction refuted
-its first candidate by filtering all |C| words one at a time, until the
-scan started only from the top-bit buckets whose sizes a translation can
-preserve. Membership probes are counted on a fresh copy of the code built
-without its member set: each bisection of its sorted words counts, and so
-does each probe of the set once the scan builds it. The size of each code
-handed to the scan is recorded too, so the gates are counts, not times.
+the extra word. So did a linear code minus one word joined with a small
+coset of a subcode, until each refuted candidate also filtered the
+survivors by a non-codeword. That code shifted by a word outside its
+span, or joined with one, fills only a quarter of its span; its scan
+stays linear in |C| because the second filter runs on every code, however
+sparse. A random construction refuted its first candidate by filtering
+all |C| words one at a time, until the scan started only from the top-bit
+buckets whose sizes a translation can preserve. A large kernel made each
+of its dim(K) full probes walk all of C, until the scan kept one codeword
+per coset of the kernel K' found so far: each walks |C| / |K'| words, and
+a linear code minus a few words is scanned itself. Membership probes are
+counted on a fresh copy of the code built without its member set: each
+bisection of its sorted words counts, and so does each probe of the set
+once the scan builds it. The size of each code handed to the scan is
+recorded too, so the gates are counts, not times.
 
 A code of odd size above 1 is never scanned: the cosets of its kernel
 partition it, so the kernel is {0}, read off with no probe and no row
 reduction. Odd worst cases are gated by calling the scan directly, and
-the complement is pinned by even twins: a linear code minus two words.
+even twins, a linear code minus two words, gate the scan of the code.
 """
 
 from random import Random
@@ -186,13 +188,21 @@ class TestWorstCases:
         k, probes = kernel_probes(c)
         assert k == linear == kernel_bruteforce(c)
         # 2^8 kernel words, but only the 8 that double the span are probed
-        # in full
-        assert probes <= (dim(k) + 3) * len(c)
+        # in full, each on one codeword per coset of the kernel found so far
+        assert probes <= 4 * len(c)
+        # (u|u+v) of RM(2,4) and a random code: 131,072 words whose kernel,
+        # by Theorem I, is the construction of the two kernels, dim 11. A
+        # scan that walked all of C for each of the 11 would take 12|C|.
+        c1, c2 = reed_muller(2, 4), random_code(16, 64, 1, include_zero=True)
+        c = plotkin_construct(c1, c2)
+        k, probes = kernel_probes(c)
+        assert k == plotkin_construct(kernel(c1), kernel(c2)) and dim(k) == 11
+        assert probes <= 4 * len(c)
 
     def test_linear_code_minus_one_word_plus_a_small_coset(self):
-        # Its span has 2^13 words, too many for the complement. Each nonzero
-        # x in L' is refuted only by u + x, which filters out almost no
-        # other candidate: with that filter alone the scan made about
+        # Its span has 2^13 words, twice the code. Each nonzero x in L' is
+        # refuted only by u + x, which filters out almost no other
+        # candidate: with that filter alone the scan made about
         # |L'| |C| / 2 = 133,088 probes, and 135,947 on this code. The
         # non-codeword u + x + x = u maps every other word of L' into the
         # code, and drops them all at once.
@@ -288,25 +298,24 @@ class TestBisectionBudget:
 
 @pytest.fixture
 def reductions(monkeypatch):
-    """The length of each row reduction made so far, by rank or complement."""
+    """The length of each row reduction made so far."""
     lengths = []
-    for module in (gf2, invariants):
-        reduce_bits = module._reduce_bits
+    reduce_bits = gf2._reduce_bits
 
-        def counted(patterns, n, reduce_bits=reduce_bits):
-            lengths.append(n)
-            return reduce_bits(patterns, n)
+    def counted(patterns, n):
+        lengths.append(n)
+        return reduce_bits(patterns, n)
 
-        monkeypatch.setattr(module, "_reduce_bits", counted)
+    monkeypatch.setattr(gf2, "_reduce_bits", counted)
     return lengths
 
 
 class TestLinearMinusWords:
-    """The scan runs on S - C0, the few span words the translate leaves out.
+    """A linear code minus a few words, or a coset of one, is scanned itself.
 
     A linear code minus one word has odd size, so kernel() reads {0} off
     it with no scan and no probe. Minus two words it has even size, and
-    takes the complement.
+    the scan is handed the code, within 3|C| probes.
     """
 
     def test_reed_muller_minus_its_largest_word(self, scanned):
@@ -320,8 +329,7 @@ class TestLinearMinusWords:
         k, probes = kernel_probes(c)
         # the two missing words a, b leave the kernel {0, a + b}
         assert k == kernel_bruteforce(c) and dim(k) == 1
-        assert scanned == [2]
-        # one probe per span word, to find the missing ones
+        assert scanned == [len(c)]
         assert probes <= 3 * len(c)
 
     def test_systematic_16_11_minus_one_word(self, scanned):
@@ -339,17 +347,9 @@ class TestLinearMinusWords:
             k, probes = kernel_probes(c)
             assert k == kernel_bruteforce(c)
             assert probes <= 3 * len(c)
-        assert scanned == [2, 2, 2]
+        assert scanned == [len(c)] * 3
 
-    def test_cosets_of_a_linear_code_minus_four_words(self, scanned, monkeypatch):
-        translates = []
-        reduce_bits = invariants._reduce_bits
-
-        def counted(patterns, n):
-            translates.append(n)
-            return reduce_bits(patterns, n)
-
-        monkeypatch.setattr(invariants, "_reduce_bits", counted)
+    def test_cosets_of_a_linear_code_minus_four_words(self, scanned):
         linear = systematic_code(12, 9, 7)
         c = minus_largest(linear, 4)
         # a dropped word of the linear code moves zero out of the code, and
@@ -360,15 +360,11 @@ class TestLinearMinusWords:
             k, probes = kernel_probes(shifted(c, x))
             assert k == kernel_bruteforce(c)
             assert probes <= 3 * len(c)
-        assert scanned == [4, 4, 4]
-        # only the shift outside the span reduces its translate, whose span
-        # is one dimension smaller than the code's
-        assert translates == [12]
+        assert scanned == [len(c)] * 3
 
-    def test_too_many_missing_words_scan_the_code(self, scanned):
-        # 128 - 22 = 106 words miss k = 22 of their span, 22^3 <= 106^2;
-        # 104 words miss 24, and 24^3 > 104^2. The 105 words between them
-        # have odd size and are not scanned.
+    def test_a_linear_code_minus_22_to_24_words(self, scanned):
+        # 106 and 104 words are scanned themselves. The 105 words between
+        # them have odd size and are not scanned.
         linear = systematic_code(10, 7, 8)
         for count in (22, 23, 24):
             c = minus_largest(linear, count)
@@ -376,13 +372,12 @@ class TestLinearMinusWords:
             assert k == kernel_bruteforce(c)
             if count == 23:
                 assert k == Code._from_bits(10, [0]) and probes == 0
-        assert scanned == [22, 104]
+        assert scanned == [106, 104]
 
     def test_reed_muller_2_5_minus_300_random_words(self, scanned, tmp_path, capsys):
-        # 65,236 words miss k = 300 of their span: past sqrt(M) = 255, where
-        # the whole code was scanned at about M^2 / 2k probes, and within
-        # k^3 <= M^2. RM(2,5) has d = 8, so the shift by a weight-1 word
-        # lies outside its span and leaves the zero word out of the code.
+        # 65,236 words miss 300 of their span. RM(2,5) has d = 8, so the
+        # shift by a weight-1 word lies outside its span and leaves the zero
+        # word out of the code.
         rm = reed_muller(2, 5)
         dropped = set(Random(5).sample(rm.bit_patterns, 300))
         c = Code._from_bits(32, [b for b in rm.bit_patterns if b not in dropped])
@@ -390,7 +385,7 @@ class TestLinearMinusWords:
             k, probes = kernel_probes(shifted(c, x))
             assert k == Code._from_bits(32, [0])
             assert probes <= 3 * len(c)
-        assert scanned == [300, 300]
+        assert scanned == [len(c)] * 2
         path = tmp_path / "rm25-300.code"
         path.write_text(format_code_file(c))
         assert cli_main(["kernel", str(path)]) == 0
@@ -398,8 +393,9 @@ class TestLinearMinusWords:
 
     def test_a_span_over_the_cap_scans_the_code(self, scanned, monkeypatch):
         # 126 words miss 2 of their 128-word span, which is over a cap of
-        # 127. The 127 words of the linear code minus one have odd size and
-        # are not scanned.
+        # 127: the scan lists no span, so the cap changes nothing. The 127
+        # words of the linear code minus one have odd size and are not
+        # scanned.
         linear = systematic_code(10, 7, 8)
         monkeypatch.setenv("PLOTKIN_MAX_ENUM", "127")
         for count in (1, 2):
@@ -430,15 +426,15 @@ class TestLinearMinusWords:
         path.write_text(format_code_file(c))
         assert cli_main(["kernel", str(path)]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "# kernel n=32 dim=1 M=2"
-        assert scanned == [2]
+        assert scanned == [len(c)]
 
 
 @st.composite
 def linear_minus_words(draw):
     """A linear code of length <= 12 minus some of its words, maybe shifted.
 
-    At most `top` words are dropped: the most that M = 2^k - top words can
-    miss with top^3 <= M^2, the complement rule's bound. The shift is zero,
+    At most `top` words are dropped, the most with top^3 <= M^2 for
+    M = 2^k - top, so the code stays dense in its span. The shift is zero,
     a word of the linear code, or any word, which is mostly outside it and
     then leaves the zero word out of the code.
     """
@@ -641,8 +637,7 @@ def test_an_odd_sized_code_has_the_kernel_zero_unscanned(c):
     # The kernel's cosets partition the code, so |K| divides an odd |C|.
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        for module in (gf2, invariants):
-            mp.setattr(module, "_reduce_bits", lambda *args: calls.append("reduce"))
+        mp.setattr(gf2, "_reduce_bits", lambda *args: calls.append("reduce"))
         mp.setattr(invariants, "_kernel_scan", lambda code: calls.append("scan"))
         k = kernel(c)
         assert calls == [] and c._rref is None
