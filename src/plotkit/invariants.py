@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, combinations, islice, pairwise
-from math import comb
+from math import comb, inf
 
 from .core import Code
 from .gf2 import _code_rows, enumeration_cap
@@ -103,31 +103,72 @@ def _least(patterns, n: int, t: int) -> int:
     return t
 
 
-def _span_distance(code: Code, rows, t: int) -> int:
+def _next_level(rows, level: list[list[int]]) -> list[list[int]]:
+    """The sums of j + 1 rows, from `level`, the sums of j rows.
+
+    Both are grouped by their last row: level[i] holds the sums whose last
+    row is rows[i - 1], and level[0] the empty sum 0 alone. A sum takes
+    each row after its last one, with one xor.
+    """
+    below, out = [], [[]]
+    for row, ending in zip(rows, level):
+        below += ending
+        out.append([s ^ row for s in below])
+    return out
+
+
+def _span_search(code: Code, rows, t: int, budget: float = inf) -> int | None:
     """Least distance between two of the codewords, read from their span.
 
-    `rows` are the code's RREF rows. Every difference of two codewords
-    lies in their span, so d is the least weight of a nonzero span word x
-    with C & (C + x) nonempty. A distance t occurs, so only the span words
-    lighter than t are tested. Each RREF row holds a pivot that no other
-    row has, so a sum of j rows weighs at least j, and every span word
-    lighter than t is a sum of fewer than t rows: only those sums are
-    listed, sums[j] holding the sums of j rows, one xor each. The light
-    ones are tested lightest first, each with one pass over the code; the
-    first that hits is d, and t is d when none does. When those tests
-    would cost more than a pair scan, the block search runs instead.
+    `rows` are the code's RREF rows, and a distance t occurs. Every
+    difference of two codewords lies in the span, so d is the least weight
+    of a nonzero span word x with C & (C + x) nonempty, or t if no span
+    word lighter than t has one. Each RREF row holds a pivot that no other
+    row has, so a sum of j rows weighs at least j: once the sums of j rows
+    are listed, level j, every span word of weight j is listed, and those
+    are tested, each with one pass over the code, before level j + 1 is
+    listed. The first that hits is d.
+
+    None means the search gave up. It lists no level that would take the
+    sums listed, zero included, past the enumeration cap. It starts only
+    when all S = sum over j < t of C(r, j) sums fit in `budget`, and each
+    test is charged its full pass, M probes, before it runs. When
+    M^2 < 2^r, a span word is expected to be the difference of no pair and
+    each test to take its full pass, so a level's tests run only when all
+    of them fit; otherwise each test is expected to hit, and runs when its
+    own pass fits. The first test bisects M // _BISECT_SHARE sorted words,
+    and if none hits, the member set is built once for the rest, as in the
+    kernel scan.
     """
-    patterns, m = code.bit_patterns, len(code)
-    sums = [[0]] + [[] for _ in range(1, t)]
-    for row in rows:
-        for j in range(t - 1, 0, -1):
-            sums[j] += [s ^ row for s in sums[j - 1]]
-    light = [x for group in sums[1:] for x in group if x.bit_count() < t]
-    if len(light) * m > m * (m - 1) // 2:
-        return _least(patterns, code.n, t)
-    for x in sorted(light, key=int.bit_count):
-        if not code._members().isdisjoint(map(x.__xor__, patterns)):
-            return x.bit_count()
+    patterns, m, r = code.bit_patterns, len(code), len(rows)
+    spent = sum(comb(r, j) for j in range(t))
+    if spent > budget:
+        return None
+    cap, listed = enumeration_cap(), 1
+    left = 0 if code._bits is not None else m // _BISECT_SHARE
+    light: list[list[int]] = [[] for _ in range(t)]
+    level = [[0]] + [[]] * r
+    for j in range(1, t):
+        listed += comb(r, j)
+        if listed > cap:
+            return None
+        level = _next_level(rows, level)
+        for x in chain.from_iterable(level):
+            if (w := x.bit_count()) < t:
+                light[w].append(x)
+        if m * m < 1 << r and spent + len(light[j]) * m > budget:
+            return None
+        for x in light[j]:
+            spent += m
+            if spent > budget:
+                return None
+            rest = patterns
+            if left:
+                if any(code._has(c ^ x) for c in islice(patterns, left)):
+                    return j
+                rest, left = islice(patterns, left, None), 0
+            if not code._members().isdisjoint(map(x.__xor__, rest)):
+                return j
     return t
 
 
@@ -135,23 +176,29 @@ def min_distance(code: Code) -> int:
     """Minimum Hamming distance over pairs of distinct codewords.
 
     Needs at least two codewords. A linear code takes the minimum-nonzero-
-    weight shortcut. Any other code is searched exactly:
+    weight shortcut. Any other code is searched exactly, each path charged
+    for its work in pairs compared, row sums listed and membership probes:
 
-    - Bound: comparing the first codeword with every other, then each
-      codeword with the next in sorted order, gives a distance t that
-      occurs. A pair at distance 1 ends the search there.
+    - Prefix bound: comparing the first of the first 2n sorted codewords
+      with each of the others, then each with the next, gives a distance t
+      that occurs, for 2(2n - 1) pairs. A pair at distance 1 ends the
+      search there.
     - Span: d is the least weight of a nonzero span word x with
-      C & (C + x) nonempty. Only the span words lighter than t are
-      tested, and each is a sum of fewer than t of the code's r RREF
-      rows. The S = sum over j < t of C(r, j) such sums are listed when
-      S <= M(M-1)/2 and S is within the enumeration cap, which thus
-      bounds what is built. The light ones are tested lightest first, one
-      pass over the code each; if none hits, d = t. When the light words
-      times M exceed M(M-1)/2, the block search below runs instead, so no
-      code costs more than about two pair scans.
+      C & (C + x) nonempty. Each span word of weight j is a sum of at most
+      j of the code's r RREF rows, so the sums are listed by the number of
+      rows, and after level j the span words of weight j are tested; the
+      first that hits is d, and if none lighter than t does, d = t. When
+      M^2 >= 2^r, so that each span word is expected to be a difference,
+      this search runs first, and gives up once its sums and probes would
+      pass 2(M - 1), the cost of the full bound.
+    - Full bound: the same comparison over all M words lowers t, unless
+      the code has at most 2n words.
+    - Then the span search runs again for the new t, now with the cost of
+      the block search below as its budget, about min(4tM, M(M-1)/2). A
+      code whose light span words would take more probes than that goes
+      to the block search with no probe made.
 
-    Any other code is searched by blocks of coordinates, comparing only
-    the pairs that can beat the bound:
+    The block search compares only the pairs that can beat the bound:
 
     - Pigeonhole: two words at distance under t differ in at most t - 1
       coordinates, so they agree on at least one of t disjoint blocks. The
@@ -178,18 +225,23 @@ def min_distance(code: Code) -> int:
 
 def _distance(code: Code) -> int:
     """The search behind min_distance, on a code of two or more words."""
-    patterns = code.bit_patterns
+    patterns, m, n = code.bit_patterns, len(code), code.n
     if is_linear(code):
         return min(b.bit_count() for b in patterns if b)
-    t = _upper_bound(patterns)
+    t = _upper_bound(patterns[: 2 * n])
     if t == 1:
         return 1
-    # The span path lists the sums of fewer than t RREF rows. It runs when
-    # they number no more than the pairs, and then only within the cap.
-    sums = sum(comb(len(_code_rows(code)), j) for j in range(t))
-    if sums <= len(code) * (len(code) - 1) // 2 and sums <= enumeration_cap():
-        return _span_distance(code, _code_rows(code), t)
-    return _least(patterns, code.n, t)
+    rows = _code_rows(code)
+    if m * m >= 1 << len(rows):
+        d = _span_search(code, rows, t, 2 * (m - 1))
+        if d is not None:
+            return d
+    if m > 2 * n:
+        t = _upper_bound(patterns)
+        if t == 1:
+            return 1
+    d = _span_search(code, rows, t, min(4 * t * m, m * (m - 1) // 2))
+    return _least(patterns, n, t) if d is None else d
 
 
 def _translations(counts: list[int]) -> list[int]:
@@ -236,8 +288,8 @@ def _candidates(patterns: tuple[int, ...], n: int) -> tuple[int, ...] | list[int
     return list(chain.from_iterable(patterns[edges[a] : edges[a + 1]] for a in kept))
 
 
-# The kernel scan bisects at most |C| // _BISECT_SHARE times before it
-# builds the code's member set. On constructions of 1,024 to 1,048,576
+# The kernel scan and the span search each bisect at most |C| //
+# _BISECT_SHARE times before they build the code's member set. On constructions of 1,024 to 1,048,576
 # words, a bisection probe took 0.45-2.4 us, a set probe 0.06-0.4 us, and
 # building the set 24-76 ns per word, so the set pays for itself after
 # |C|/9 to |C|/29 probes. Bisecting |C|/16 times costs 0.6 to 1.8 set

@@ -19,13 +19,14 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import coset_unions
+from strategies import bucketed_coset_unions, coset_unions
 
 import plotkit.invariants as invariants
 from plotkit.core import Code, Word
 from plotkit.families import from_generator, random_code, reed_muller, repetition
 from plotkit.gf2 import _span
 from plotkit.invariants import is_linear, min_distance
+from plotkit.oracle import distance_bruteforce
 from plotkit.plotkin import plotkin_construct
 
 
@@ -389,11 +390,12 @@ def even_weight_17() -> Code:
 
 
 class TestSpanPath:
-    # The three constructions have one shape, 4,257 words of rank 14, and
-    # d = 2, 3 and 4 (TestWorstCases checks d against the naive minimum).
-    # The bound pass finds d itself, and no span word is lighter, so the
-    # sums of fewer than d of the 14 rows are listed, 14, 105 and 469 of
-    # them, and no difference is probed.
+    # The three constructions have one shape, 4,257 words of length 32 and
+    # rank 14, and d = 2, 3 and 4 (TestWorstCases checks d against the
+    # naive minimum). The bound on the first 2n = 64 words, 126 pairs,
+    # finds d itself, and no span word is lighter, so the sums of fewer
+    # than d of the 14 rows are listed, 14, 105 and 469 of them, no
+    # difference is probed, and the bound over all 4,257 words never runs.
     @pytest.mark.parametrize(("seed", "d"), [(1, 2), (3, 3), (30, 4)])
     def test_near_linear_construction_takes_the_same_work_for_every_d(
         self, compared, sums, seed, d
@@ -403,7 +405,44 @@ class TestSpanPath:
         assert min_distance(c) == d
         assert sums == [{2: 14, 3: 105, 4: 469}[d]]
         assert members.probes == 0
-        assert compared[0] == 2 * (len(c) - 1)
+        assert compared[0] == 2 * (2 * c.n - 1) == 126
+
+    def test_a_dense_random_construction_ends_in_the_prefix(self, compared, sums):
+        # 65,536 words of length 20 from two random 256-word codes: the
+        # bound on the first 40 words meets a pair at distance 1, so no
+        # other pair is compared, no row sum is listed and no member set
+        # is built.
+        c = plotkin_construct(
+            random_code(10, 256, seed=1, include_zero=True),
+            random_code(10, 256, seed=2, include_zero=True),
+        )
+        assert len(c) == 65_536 and c._bits is None
+        assert min_distance(c) == 1
+        assert compared == [2 * (2 * c.n - 1)] and sums == [0]
+        assert c._bits is None
+
+    def test_a_sparse_code_goes_to_the_block_search_unprobed(self, monkeypatch, sums):
+        # 1,000 random words of length 22 and rank 22, with t = 2 over all
+        # of them: M^2 < 2^22, so the span search runs only after the full
+        # bound. Its RREF rows are the 22 weight-1 words, each a test of
+        # 1,000 probes, against about 4tM = 8,000 for the block search: it
+        # lists level 1 and gives up before any probe.
+        c = random_code(22, 1000, seed=4, include_zero=True)
+        assert invariants.rank(c) == 22
+        assert invariants._upper_bound(c.bit_patterns) == 2
+        searched = []
+        least = invariants._least
+
+        def counted(patterns, n, t):
+            searched.append(t)
+            return least(patterns, n, t)
+
+        monkeypatch.setattr(invariants, "_least", counted)
+        members = counting_probes(c)
+        assert min_distance(c) == naive_min(c) == 2
+        assert searched == [2]
+        assert members.probes == 0
+        assert sums == [22]
 
     def test_a_rank_16_code(self, sums):
         # t = 2, so only the 16 rows are listed; none has weight 1.
@@ -414,28 +453,49 @@ class TestSpanPath:
         assert members.probes == 0
 
     def test_a_difference_under_the_bound_is_found_by_a_probe(self, sums):
-        # RM(2,4) plus two words 2 apart: rank 13, and the bound pass finds
-        # only t = 4. The 377 sums of 1 to 3 rows hold 24 span words lighter
-        # than t. Testing them, lightest first, finds d = 2.
+        # RM(2,4) plus two words 2 apart: rank 13, and the bound on the
+        # first 32 words finds only t = 4. Level 1 lists the 13 rows, none
+        # of weight 1, and level 2 the 78 sums of two rows. The span holds
+        # 24 words of weight 2, and the first of them tested is a difference
+        # of two codewords, so d = 2 with one probe and no level 3.
         c = plus(reed_muller(2, 4), 0x75A8, 0x37A8)
+        assert invariants._upper_bound(c.bit_patterns[:32]) == 4
         assert invariants._upper_bound(c.bit_patterns) == 4
         members = counting_probes(c)
         assert min_distance(c) == naive_min(c) == 2
-        assert sums == [377]
-        assert 1 <= members.probes <= 24
+        assert sums == [91]
+        assert members.probes == 1
 
-    def test_a_rank_18_code_read_directly(self, monkeypatch):
+    def test_probes_bisect_before_the_member_set_is_built(self, monkeypatch):
+        # Copies with no member set. RM(2,4) plus 0x595, a word 2 from the
+        # code, sorts 42nd, so the first test finds its pair among the first
+        # M // 16 = 128 words it bisects. RM(2,4) plus the two words above
+        # sort past them: 128 bisections miss, then the set is built once.
+        probes = []
+        has = Code._has
+        monkeypatch.setattr(Code, "_has", lambda c, x: probes.append(x) or has(c, x))
+        rm = list(reed_muller(2, 4).bit_patterns)
+        c = Code._from_distinct(16, rm + [0x595])
+        assert min_distance(c) == naive_min(c) == 2
+        assert len(probes) == 42 and c._bits is None
+        probes.clear()
+        c = Code._from_distinct(16, rm + [0x75A8, 0x37A8])
+        assert min_distance(c) == naive_min(c) == 2
+        assert len(probes) == len(c) // invariants._BISECT_SHARE == 128
+        assert c._bits is not None
+
+    def test_a_rank_18_code_read_directly(self, monkeypatch, sums):
         # 19 words of rank 18 and t = 8: 8,359 span words are lighter than
-        # t, and testing each against 19 words would cost more than the 171
-        # pairs, so the block search runs with the bound t. Called directly:
-        # min_distance lists no sums here, as the 63,004 sums of fewer than
-        # 8 rows outnumber the pairs.
+        # t, and the S = 63,004 sums of fewer than 8 rows alone outnumber the
+        # 171 pairs that the block search would compare at most. So the span
+        # search, called directly with that budget, gives up before it
+        # lists a sum, and min_distance runs the block search with t = 8.
         c = random_code(24, 19, seed=3, include_zero=True)
         assert invariants.rank(c) == 18
         t = invariants._upper_bound(c.bit_patterns)
         assert t == 8
         rows = invariants._code_rows(c)
-        light = [x for x in _span(rows) if 0 < x.bit_count() < t]
+        light = [x for x in _span(map(int, rows)) if 0 < x.bit_count() < t]
         assert len(light) == 8359 and len(light) * 19 > all_pairs(c) == 171
         bounds = []
         least = invariants._least
@@ -446,10 +506,11 @@ class TestSpanPath:
 
         monkeypatch.setattr(invariants, "_least", counted)
         members = counting_probes(c)
-        assert invariants._span_distance(c, rows, t) == 7
-        assert naive_min(c) == 7
-        assert bounds[0] == 8
+        assert invariants._span_search(c, rows, t, all_pairs(c)) is None
+        assert min_distance(c) == naive_min(c) == 7
+        assert bounds == [8]
         assert members.probes == 0
+        assert sums == [0]
 
     def test_the_span_path_obeys_the_enumeration_cap(self, monkeypatch, sums):
         # The rank-16 code above has t = 2, so the span path lists S = 17
@@ -470,6 +531,30 @@ class TestSpanPath:
         monkeypatch.setenv("PLOTKIN_MAX_ENUM", "17")
         assert min_distance(even_weight_17()) == 2
         assert sums == [16] and searched == []
+
+    def test_the_cap_stops_the_span_search_at_level_2(self, monkeypatch, sums):
+        # RM(2,4) plus two words 2 apart, rank 13 and t = 4: level 1 takes
+        # the sums listed to 1 + 13 = 14, and level 2 to 92. A cap of 91
+        # stops the search before level 2, so the block search finds d;
+        # a cap of 92 lists it, and d = 2 is read from the span.
+        c = plus(reed_muller(2, 4), 0x75A8, 0x37A8)
+        rows = invariants._code_rows(c)
+        monkeypatch.setenv("PLOTKIN_MAX_ENUM", "91")
+        assert invariants._span_search(c, rows, 4) is None
+        assert sums == [13]
+        searched = []
+        least = invariants._least
+
+        def counted(patterns, n, t):
+            searched.append(t)
+            return least(patterns, n, t)
+
+        monkeypatch.setattr(invariants, "_least", counted)
+        assert min_distance(c) == 2 and searched == [4]
+        monkeypatch.setenv("PLOTKIN_MAX_ENUM", "92")
+        sums[0] = 0
+        assert invariants._span_search(c, rows, 4) == 2
+        assert sums == [91]
 
     def test_a_rank_17_code_takes_the_span_path(self, monkeypatch, sums):
         # No rank bound beside the cap: 131,071 words of rank 17 are read
@@ -500,6 +585,22 @@ class TestSpanPath:
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(random_subsets(max_n=10), linear_plus_words(), constructions()))
 def test_span_distance_matches_naive(c):
-    # Called directly, so every drawn code takes the span path or its guard.
+    # Called directly with no budget, so every drawn code is read from its
+    # span alone: n <= 12 keeps every listing under the enumeration cap.
+    # The copy has no member set, so the first test bisects M // 16 words
+    # before the set is built for the rest.
+    c = Code._from_distinct(c.n, list(c.bit_patterns))
     t = invariants._upper_bound(c.bit_patterns)
-    assert invariants._span_distance(c, invariants._code_rows(c), t) == naive_min(c)
+    assert invariants._span_search(c, invariants._code_rows(c), t) == naive_min(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        coset_unions().map(lambda drawn: drawn[0]),
+        bucketed_coset_unions().map(lambda drawn: drawn[0]),
+        linear_plus_words(),
+    )
+)
+def test_min_distance_matches_distance_bruteforce(c):
+    assert min_distance(c) == distance_bruteforce(c)

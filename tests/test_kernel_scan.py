@@ -29,7 +29,7 @@ from random import Random
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
-from strategies import coset_unions
+from strategies import bucketed_coset_unions, coset_unions
 
 import plotkit.cli as cli
 import plotkit.gf2 as gf2
@@ -483,34 +483,6 @@ def linear_minus_one_plus_cosets(draw):
 @given(linear_minus_one_plus_cosets())
 def test_kernel_matches_bruteforce_on_linear_codes_minus_one_word_plus_a_coset(c):
     assert kernel(c) == kernel_bruteforce(c)
-
-
-@st.composite
-def bucketed_coset_unions(draw):
-    """A union of cosets of a random subspace K, of 64 to 511 words, and dim K.
-
-    At n <= 10, 64 words or more make the scan split the code into at
-    least 4 buckets by its top bits. Each row of K is a random word,
-    or one cut to the low n - 3 bits, so some kernels move words between
-    buckets and some keep every word in its bucket, which leaves buckets
-    of uneven sizes, some empty. A shift may move the zero word out of the
-    code and its empty buckets to the bottom, so c0 need not lie in the
-    first bucket.
-    """
-    n = draw(st.integers(8, 10))
-    k = draw(st.integers(1, 5))
-    space = [0]
-    while len(space) < 1 << k:
-        row = draw(st.integers(1, (1 << n) - 1)) >> draw(st.sampled_from([0, 3]))
-        if row not in space:
-            space += [s ^ row for s in space]
-    size = draw(st.integers(64, min(512, 1 << (n - 1)) - len(space)))
-    words: set[int] = set()
-    while len(words) < size:
-        leader = draw(st.integers(0, (1 << n) - 1).filter(lambda w: w not in words))
-        words |= {s ^ leader for s in space}
-    shift = draw(st.one_of(st.just(0), st.integers(0, (1 << n) - 1)))
-    return Code._from_bits(n, [w ^ shift for w in words]), k
 
 
 @settings(max_examples=100, deadline=None)
