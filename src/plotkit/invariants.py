@@ -132,13 +132,10 @@ def _span_search(code: Code, rows, t: int, budget: float = inf) -> int | None:
     None means the search gave up. It lists no level that would take the
     sums listed, zero included, past the enumeration cap. It starts only
     when all S = sum over j < t of C(r, j) sums fit in `budget`, and each
-    test is charged its full pass, M probes, before it runs. When
-    M^2 < 2^r, a span word is expected to be the difference of no pair and
-    each test to take its full pass, so a level's tests run only when all
-    of them fit; otherwise each test is expected to hit, and runs when its
-    own pass fits. The first test bisects M // _BISECT_SHARE sorted words,
-    and if none hits, the member set is built once for the rest, as in the
-    kernel scan.
+    test is charged its full pass, M probes, and runs only when that pass
+    fits. The first test bisects M // _BISECT_SHARE sorted words, and if
+    none hits, the member set is built once for the rest, as in the kernel
+    scan.
     """
     patterns, m, r = code.bit_patterns, len(code), len(rows)
     spent = sum(comb(r, j) for j in range(t))
@@ -156,8 +153,6 @@ def _span_search(code: Code, rows, t: int, budget: float = inf) -> int | None:
         for x in chain.from_iterable(level):
             if (w := x.bit_count()) < t:
                 light[w].append(x)
-        if m * m < 1 << r and spent + len(light[j]) * m > budget:
-            return None
         for x in light[j]:
             spent += m
             if spent > budget:
@@ -183,20 +178,18 @@ def min_distance(code: Code) -> int:
       with each of the others, then each with the next, gives a distance t
       that occurs, for 2(2n - 1) pairs. A pair at distance 1 ends the
       search there.
-    - Span: d is the least weight of a nonzero span word x with
-      C & (C + x) nonempty. Each span word of weight j is a sum of at most
-      j of the code's r RREF rows, so the sums are listed by the number of
-      rows, and after level j the span words of weight j are tested; the
-      first that hits is d, and if none lighter than t does, d = t. When
-      M^2 >= 2^r, so that each span word is expected to be a difference,
-      this search runs first, and gives up once its sums and probes would
-      pass 2(M - 1), the cost of the full bound.
-    - Full bound: the same comparison over all M words lowers t, unless
-      the code has at most 2n words.
-    - Then the span search runs again for the new t, now with the cost of
-      the block search below as its budget, about min(4tM, M(M-1)/2). A
-      code whose light span words would take more probes than that goes
-      to the block search with no probe made.
+    - Span, once, on a code with M^2 >= 2^r, where each light span word
+      is expected to be a difference: d is the least weight of a nonzero
+      span word x with C & (C + x) nonempty. Each span word of weight j is
+      a sum of at most j of the code's r RREF rows, so the sums are listed
+      by the number of rows, and after level j the span words of weight j
+      are tested; the first that hits is d, and if none lighter than t
+      does, d = t. The search gives up once its sums and probes would pass
+      the block search's cost at this t, about min(4tM, M(M-1)/2).
+    - Full bound and block search, when the span search gives up or the
+      code is sparse in its span: the same comparison over all M words
+      lowers t, unless the code has at most 2n words, and the block search
+      below reads d from it.
 
     The block search compares only the pairs that can beat the bound:
 
@@ -233,15 +226,14 @@ def _distance(code: Code) -> int:
         return 1
     rows = _code_rows(code)
     if m * m >= 1 << len(rows):
-        d = _span_search(code, rows, t, 2 * (m - 1))
+        d = _span_search(code, rows, t, min(4 * t * m, m * (m - 1) // 2))
         if d is not None:
             return d
     if m > 2 * n:
         t = _upper_bound(patterns)
         if t == 1:
             return 1
-    d = _span_search(code, rows, t, min(4 * t * m, m * (m - 1) // 2))
-    return _least(patterns, n, t) if d is None else d
+    return _least(patterns, n, t)
 
 
 def _translations(counts: list[int]) -> list[int]:

@@ -423,10 +423,10 @@ class TestSpanPath:
 
     def test_a_sparse_code_goes_to_the_block_search_unprobed(self, monkeypatch, sums):
         # 1,000 random words of length 22 and rank 22, with t = 2 over all
-        # of them: M^2 < 2^22, so the span search runs only after the full
-        # bound. Its RREF rows are the 22 weight-1 words, each a test of
-        # 1,000 probes, against about 4tM = 8,000 for the block search: it
-        # lists level 1 and gives up before any probe.
+        # of them: M^2 < 2^22, so a span word is expected to be the
+        # difference of no pair, and the span search never runs. The full
+        # bound hands t = 2 to the block search, with no row sum listed and
+        # no probe made.
         c = random_code(22, 1000, seed=4, include_zero=True)
         assert invariants.rank(c) == 22
         assert invariants._upper_bound(c.bit_patterns) == 2
@@ -442,7 +442,36 @@ class TestSpanPath:
         assert min_distance(c) == naive_min(c) == 2
         assert searched == [2]
         assert members.probes == 0
-        assert sums == [22]
+        assert sums == [0]
+
+    def test_a_search_that_gives_up_hands_its_bound_to_the_block_search(
+        self, monkeypatch
+    ):
+        # 256 words of length 16, rank 16 and d = 2, with M^2 = 2^16: dense,
+        # so the span search runs once, at the prefix bound t = 2, with the
+        # block search's cost min(4tM, M(M-1)/2) = 2,048 as its budget. Its
+        # weight-1 rows take more tests of 256 probes than that, so it gives
+        # up, and the block search gets t = 2 with no second span search.
+        c = plotkin_construct(
+            random_code(8, 16, seed=4, include_zero=True),
+            random_code(8, 16, seed=104, include_zero=True),
+        )
+        assert len(c) == 256 and invariants.rank(c) == 16
+        calls = []
+        search, least = invariants._span_search, invariants._least
+
+        def counted_search(code, rows, t, budget):
+            calls.append(("span", t, budget))
+            return search(code, rows, t, budget)
+
+        def counted_least(patterns, n, t):
+            calls.append(("least", t))
+            return least(patterns, n, t)
+
+        monkeypatch.setattr(invariants, "_span_search", counted_search)
+        monkeypatch.setattr(invariants, "_least", counted_least)
+        assert min_distance(c) == naive_min(c) == 2
+        assert calls == [("span", 2, 2048), ("least", 2)]
 
     def test_a_rank_16_code(self, sums):
         # t = 2, so only the 16 rows are listed; none has weight 1.
@@ -604,3 +633,30 @@ def test_span_distance_matches_naive(c):
 )
 def test_min_distance_matches_distance_bruteforce(c):
     assert min_distance(c) == distance_bruteforce(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        coset_unions().map(lambda drawn: drawn[0]),
+        bucketed_coset_unions().map(lambda drawn: drawn[0]),
+        linear_plus_words(),
+        random_subsets(),
+    )
+)
+def test_one_span_search_and_only_on_dense_codes(c):
+    # The span search runs at most once, and never on a code with
+    # M^2 < 2^r, where a span word is expected to be the difference of no
+    # pair. Each call records the rank r of the rows it is given.
+    ranks = []
+    search = invariants._span_search
+
+    def counted(code, rows, t, budget):
+        ranks.append(len(rows))
+        return search(code, rows, t, budget)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariants, "_span_search", counted)
+        assert min_distance(c) == distance_bruteforce(c)
+    assert len(ranks) <= 1
+    assert all(len(c) ** 2 >= 1 << r for r in ranks)
