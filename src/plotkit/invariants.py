@@ -126,23 +126,27 @@ def _span_search(code: Code, rows, t: int, budget: float = inf) -> int | None:
     word lighter than t has one. Each RREF row holds a pivot that no other
     row has, so a sum of j rows weighs at least j: once the sums of j rows
     are listed, level j, every span word of weight j is listed, and those
-    are tested, each with one pass over the code, before level j + 1 is
-    listed. The first that hits is d.
+    are tested before level j + 1 is listed. The first that hits is d.
+
+    A test walks only the leaders of the code's kernel K: the codewords
+    zero on every pivot of K's RREF rows, one per coset of K. They are
+    taken at the first test, with K measured then if it is not cached.
+    That is exact: if c + x is a codeword, so is (c + k) + x for every k
+    in K, so some leader c' has c' + x in the code. A linear code is its
+    own kernel and has one leader, zero; a code with K = {0} has every
+    codeword as a leader.
 
     None means the search gave up. It lists no level that would take the
     sums listed, zero included, past the enumeration cap. It starts only
     when all S = sum over j < t of C(r, j) sums fit in `budget`, and each
-    test is charged its full pass, M probes, and runs only when that pass
-    fits. The first test bisects M // _BISECT_SHARE sorted words, and if
-    none hits, the member set is built once for the rest, as in the kernel
-    scan.
+    test is charged one probe per leader, |C| / |K|, and runs only when
+    they fit. The first test builds the member set, once.
     """
-    patterns, m, r = code.bit_patterns, len(code), len(rows)
+    r = len(rows)
     spent = sum(comb(r, j) for j in range(t))
     if spent > budget:
         return None
-    cap, listed = enumeration_cap(), 1
-    left = 0 if code._bits is not None else m // _BISECT_SHARE
+    cap, listed, leaders = enumeration_cap(), 1, None
     light: list[list[int]] = [[] for _ in range(t)]
     level = [[0]] + [[]] * r
     for j in range(1, t):
@@ -154,15 +158,14 @@ def _span_search(code: Code, rows, t: int, budget: float = inf) -> int | None:
             if (w := x.bit_count()) < t:
                 light[w].append(x)
         for x in light[j]:
-            spent += m
+            if leaders is None:
+                ker = _code_rows(kernel(code))
+                pivots = sum(1 << (k.bit_length() - 1) for k in ker)
+                leaders = [c for c in code.bit_patterns if not c & pivots]
+            spent += len(leaders)
             if spent > budget:
                 return None
-            rest = patterns
-            if left:
-                if any(code._has(c ^ x) for c in islice(patterns, left)):
-                    return j
-                rest, left = islice(patterns, left, None), 0
-            if not code._members().isdisjoint(map(x.__xor__, rest)):
+            if not code._members().isdisjoint(map(x.__xor__, leaders)):
                 return j
     return t
 
@@ -170,9 +173,9 @@ def _span_search(code: Code, rows, t: int, budget: float = inf) -> int | None:
 def min_distance(code: Code) -> int:
     """Minimum Hamming distance over pairs of distinct codewords.
 
-    Needs at least two codewords. A linear code takes the minimum-nonzero-
-    weight shortcut. Any other code is searched exactly, each path charged
-    for its work in pairs compared, row sums listed and membership probes:
+    Needs at least two codewords. The code is searched exactly, each path
+    charged for its work in pairs compared, row sums listed and membership
+    probes:
 
     - Prefix bound: comparing the first of the first 2n sorted codewords
       with each of the others, then each with the next, gives a distance t
@@ -184,8 +187,13 @@ def min_distance(code: Code) -> int:
       a sum of at most j of the code's r RREF rows, so the sums are listed
       by the number of rows, and after level j the span words of weight j
       are tested; the first that hits is d, and if none lighter than t
-      does, d = t. The search gives up once its sums and probes would pass
-      the block search's cost at this t, about min(4tM, M(M-1)/2).
+      does, d = t. A test probes c + x only for the leaders c of the
+      code's kernel K, one codeword per coset of K, as c + x is a
+      codeword exactly when (c + k) + x is, for k in K. The kernel is
+      measured at the first test if it is not cached; a linear code is its
+      own kernel and has one leader. The search gives up once its sums and probes,
+      |C| / |K| per test, would pass the block search's cost at this t,
+      about min(4tM, M(M-1)/2).
     - Full bound and block search, when the span search gives up or the
       code is sparse in its span: the same comparison over all M words
       lowers t, unless the code has at most 2n words, and the block search
@@ -219,8 +227,6 @@ def min_distance(code: Code) -> int:
 def _distance(code: Code) -> int:
     """The search behind min_distance, on a code of two or more words."""
     patterns, m, n = code.bit_patterns, len(code), code.n
-    if is_linear(code):
-        return min(b.bit_count() for b in patterns if b)
     t = _upper_bound(patterns[: 2 * n])
     if t == 1:
         return 1
@@ -231,8 +237,6 @@ def _distance(code: Code) -> int:
             return d
     if m > 2 * n:
         t = _upper_bound(patterns)
-        if t == 1:
-            return 1
     return _least(patterns, n, t)
 
 
@@ -280,8 +284,8 @@ def _candidates(patterns: tuple[int, ...], n: int) -> tuple[int, ...] | list[int
     return list(chain.from_iterable(patterns[edges[a] : edges[a + 1]] for a in kept))
 
 
-# The kernel scan and the span search each bisect at most |C| //
-# _BISECT_SHARE times before they build the code's member set. On constructions of 1,024 to 1,048,576
+# The kernel scan bisects at most |C| // _BISECT_SHARE times before it
+# builds the code's member set. On constructions of 1,024 to 1,048,576
 # words, a bisection probe took 0.45-2.4 us, a set probe 0.06-0.4 us, and
 # building the set 24-76 ns per word, so the set pays for itself after
 # |C|/9 to |C|/29 probes. Bisecting |C|/16 times costs 0.6 to 1.8 set

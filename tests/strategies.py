@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Hypothesis strategies and fixed codes shared by the property tests."""
 
 from hypothesis import strategies as st
 
@@ -56,3 +56,29 @@ def bucketed_coset_unions(draw):
         words |= {s ^ leader for s in space}
     shift = draw(st.one_of(st.just(0), st.integers(0, (1 << n) - 1)))
     return Code._from_bits(n, [w ^ shift for w in words]), k
+
+
+def nordstrom_robinson() -> Code:
+    """The Nordstrom-Robinson code: 256 words of length 16, d = 6.
+
+    The shifts of g(x) = x^11 + x^10 + x^6 + x^5 + x^4 + x^2 + 1 generate
+    the cyclic Golay code of length 23, and a parity bit extends it to the
+    [24, 12, 8] code. One octad, a word of weight 8, is moved to the first
+    8 coordinates. The words that are 0, or e_i + e_8 for some i <= 7, on
+    those coordinates are kept, and the 8 coordinates deleted.
+    """
+    golay = [0]
+    for i in range(12):
+        row = 0b110001110101 << i
+        row = row << 1 | (row.bit_count() & 1)
+        golay += [w ^ row for w in golay]
+    octad = next(w for w in golay if w.bit_count() == 8)
+    order = sorted(range(24), key=lambda i: not octad >> (23 - i) & 1)
+    heads = {"0" * 8} | {"0" * i + "1" + "0" * (6 - i) + "1" for i in range(7)}
+    words = []
+    for w in golay:
+        bits = format(w, "024b")
+        moved = "".join(bits[i] for i in order)
+        if moved[:8] in heads:
+            words.append(int(moved[8:], 2))
+    return Code._from_bits(16, words)

@@ -19,15 +19,15 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import bucketed_coset_unions, coset_unions
+from strategies import bucketed_coset_unions, coset_unions, nordstrom_robinson
 
 import plotkit.invariants as invariants
 from plotkit.core import Code, Word
 from plotkit.families import from_generator, random_code, reed_muller, repetition
 from plotkit.gf2 import _span
-from plotkit.invariants import is_linear, min_distance
+from plotkit.invariants import is_linear, kernel, kernel_dim, min_distance, rank
 from plotkit.oracle import distance_bruteforce
-from plotkit.plotkin import plotkin_construct
+from plotkit.plotkin import CodeParams, plotkin_construct, verify_plotkin
 
 
 def naive_min(code: Code) -> int:
@@ -359,6 +359,17 @@ def counting_probes(c: Code) -> ProbeCounter:
     return c._bits
 
 
+class Recorded(frozenset):
+    """A code's member set that records the words each difference test probes."""
+
+    def __init__(self, patterns):
+        self.tests = []
+
+    def isdisjoint(self, other):
+        self.tests.append(sorted(other))
+        return frozenset.isdisjoint(self, self.tests[-1])
+
+
 @pytest.fixture
 def sums(monkeypatch):
     """A one-item list holding the row sums listed so far.
@@ -495,23 +506,54 @@ class TestSpanPath:
         assert sums == [91]
         assert members.probes == 1
 
-    def test_probes_bisect_before_the_member_set_is_built(self, monkeypatch):
-        # Copies with no member set. RM(2,4) plus 0x595, a word 2 from the
-        # code, sorts 42nd, so the first test finds its pair among the first
-        # M // 16 = 128 words it bisects. RM(2,4) plus the two words above
-        # sort past them: 128 bisections miss, then the set is built once.
-        probes = []
-        has = Code._has
-        monkeypatch.setattr(Code, "_has", lambda c, x: probes.append(x) or has(c, x))
-        rm = list(reed_muller(2, 4).bit_patterns)
-        c = Code._from_distinct(16, rm + [0x595])
-        assert min_distance(c) == naive_min(c) == 2
-        assert len(probes) == 42 and c._bits is None
-        probes.clear()
-        c = Code._from_distinct(16, rm + [0x75A8, 0x37A8])
-        assert min_distance(c) == naive_min(c) == 2
-        assert len(probes) == len(c) // invariants._BISECT_SHARE == 128
-        assert c._bits is not None
+    def test_the_first_test_builds_the_member_set_and_walks_the_leaders(
+        self, monkeypatch
+    ):
+        # A copy of NR with no member set, given NR's measured kernel, of
+        # dimension 5: its 8 leaders are the codewords zero on the 5 pivots
+        # of the kernel's rows. The prefix bound is d = 6, so each of the
+        # 140 span words lighter than 6 is tested, and none hits. The first
+        # test builds the member set, once, no probe bisects, and each test
+        # probes x + c for the 8 leaders c alone.
+        nr = nordstrom_robinson()
+        c = Code._from_distinct(16, list(nr.bit_patterns))
+        c._kernel = kernel(nr)
+        rows = invariants._code_rows(c._kernel)
+        pivots = sum(1 << (k.bit_length() - 1) for k in rows)
+        leaders = [w for w in c.bit_patterns if not w & pivots]
+        assert len(leaders) == 8
+        built = []
+
+        def members(code):
+            if code._bits is None:
+                built.append(len(code))
+                code._bits = Recorded(code.bit_patterns)
+            return code._bits
+
+        monkeypatch.setattr(Code, "_members", members)
+        monkeypatch.setattr(Code, "_has", None)
+        assert min_distance(c) == 6
+        assert built == [256] and len(c._bits.tests) == 140
+        # Zero is a leader, so each tested span word x is itself probed.
+        for probed in c._bits.tests:
+            assert any(
+                x.bit_count() < 6 and sorted(w ^ x for w in probed) == leaders
+                for x in probed
+            )
+
+    def test_the_search_is_charged_its_sums_and_one_probe_per_leader(self):
+        # NR has rank 11 and t = 6: the S = 1 + 11 + 55 + 165 + 330 + 462 =
+        # 1,024 sums of fewer than 6 rows, and 140 tests of |C| / |K| = 8
+        # leaders each. The rank-16 code above, with t = 2, lists S = 17
+        # sums and tests no word, so S alone decides.
+        nr = nordstrom_robinson()
+        rows = invariants._code_rows(nr)
+        assert invariants._span_search(nr, rows, 6, 1024 + 140 * 8) == 6
+        assert invariants._span_search(nr, rows, 6, 1024 + 140 * 8 - 1) is None
+        c = even_weight_17()
+        rows = invariants._code_rows(c)
+        assert invariants._span_search(c, rows, 2, 17) == 2
+        assert invariants._span_search(c, rows, 2, 16) is None
 
     def test_a_rank_18_code_read_directly(self, monkeypatch, sums):
         # 19 words of rank 18 and t = 8: 8,359 span words are lighter than
@@ -616,11 +658,23 @@ class TestSpanPath:
 def test_span_distance_matches_naive(c):
     # Called directly with no budget, so every drawn code is read from its
     # span alone: n <= 12 keeps every listing under the enumeration cap.
-    # The copy has no member set, so the first test bisects M // 16 words
-    # before the set is built for the rest.
+    # The copy has no member set and no kernel: the first test measures the
+    # kernel, and builds the set if the scan did not.
     c = Code._from_distinct(c.n, list(c.bit_patterns))
     t = invariants._upper_bound(c.bit_patterns)
     assert invariants._span_search(c, invariants._code_rows(c), t) == naive_min(c)
+
+
+@st.composite
+def linear_codes(draw):
+    """The span of 1 to 6 random nonzero rows of length up to 10.
+
+    A linear code is its own kernel, so the span search tests each light
+    span word with one probe, at its one leader, zero.
+    """
+    n = draw(st.integers(1, 10))
+    rows = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
+    return Code._from_bits(n, _span(rows))
 
 
 @settings(max_examples=200, deadline=None)
@@ -629,6 +683,7 @@ def test_span_distance_matches_naive(c):
         coset_unions().map(lambda drawn: drawn[0]),
         bucketed_coset_unions().map(lambda drawn: drawn[0]),
         linear_plus_words(),
+        linear_codes(),
     )
 )
 def test_min_distance_matches_distance_bruteforce(c):
@@ -642,6 +697,7 @@ def test_min_distance_matches_distance_bruteforce(c):
         bucketed_coset_unions().map(lambda drawn: drawn[0]),
         linear_plus_words(),
         random_subsets(),
+        linear_codes(),
     )
 )
 def test_one_span_search_and_only_on_dense_codes(c):
@@ -660,3 +716,63 @@ def test_one_span_search_and_only_on_dense_codes(c):
         assert min_distance(c) == distance_bruteforce(c)
     assert len(ranks) <= 1
     assert all(len(c) ** 2 >= 1 << r for r in ranks)
+
+
+class TestNordstromRobinson:
+    """NR has d = 6 and a kernel of dimension 5, so its constructions have
+    large kernels: 64 leaders for NR with NR and 8 for RM(2,4) with NR. The
+    span search once charged each test all M codewords, gave up, and left
+    the block search with about 3.4 * 10^8 and 2 * 10^10 group pairs."""
+
+    def test_parameters(self):
+        nr = nordstrom_robinson()
+        assert (nr.n, len(nr), rank(nr), kernel_dim(nr)) == (16, 256, 11, 5)
+        assert min_distance(nr) == distance_bruteforce(nr) == 6
+
+    @pytest.mark.parametrize(
+        ("first", "leaders", "tests"), [("nr", 64, 280), ("rm24", 8, 152)]
+    )
+    def test_large_kernel_constructions_are_read_from_the_span(
+        self, monkeypatch, first, leaders, tests
+    ):
+        # The prefix bound is d = 6, so every span word lighter than 6 is
+        # tested, each with one probe per leader, and none hits.
+        nr = nordstrom_robinson()
+        c = plotkin_construct(nr if first == "nr" else reed_muller(2, 4), nr)
+        searched = []
+        search = invariants._span_search
+
+        def counted(code, rows, t, budget):
+            searched.append(t)
+            return search(code, rows, t, budget)
+
+        def refused(patterns, n, t):
+            raise AssertionError("the block search ran")
+
+        monkeypatch.setattr(invariants, "_span_search", counted)
+        monkeypatch.setattr(invariants, "_least", refused)
+        c._bits = Recorded(c.bit_patterns)
+        assert min_distance(c) == 6
+        assert searched == [6]
+        assert [len(probed) for probed in c._bits.tests] == [leaders] * tests
+
+    @pytest.mark.parametrize(
+        ("first", "second", "observed"),
+        [
+            ("nr", "nr", (32, 65536, 6, 22, 10)),
+            ("nr", "rm14", (32, 8192, 8, 16, 10)),
+            ("rm24", "nr", (32, 524288, 6, 22, 16)),
+        ],
+    )
+    def test_verify_holds_with_no_block_search(
+        self, monkeypatch, first, second, observed
+    ):
+        codes = {
+            "nr": nordstrom_robinson(),
+            "rm14": reed_muller(1, 4),
+            "rm24": reed_muller(2, 4),
+        }
+        monkeypatch.setattr(invariants, "_least", None)
+        report = verify_plotkin(codes[first], codes[second])
+        assert report.all_checks_hold
+        assert report.observed == report.predicted == CodeParams(*observed)
