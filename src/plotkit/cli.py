@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from .codefile import (
@@ -45,8 +46,15 @@ from .plotkin import (
 )
 
 def _load(path: str, as_gen: bool) -> Code:
+    """Read a code file; each parse warning, such as a repeated line, is
+    printed as one `warning: ...` line on stderr, in file order."""
     text = Path(path).read_text()
-    return parse_gen_file(text) if as_gen else parse_code_file(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = parse_gen_file(text) if as_gen else parse_code_file(text)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return code
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -334,6 +342,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        enumeration_cap()  # a malformed cap is refused by every command
         return args.func(args)
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,95 @@
-"""Hypothesis strategies and fixed codes shared by the property tests."""
+"""Hypothesis strategies, fixed codes, and the call and probe recorders
+shared by the tests."""
+
+from typing import Any, NamedTuple
 
 from hypothesis import strategies as st
 
 from plotkit.core import Code
+
+
+class Call(NamedTuple):
+    """One call made through a recorded binding."""
+
+    name: str
+    args: tuple
+    kwargs: dict
+    result: Any
+
+
+def record_calls(monkeypatch, owner, name: str, calls: list | None = None) -> list:
+    """Patch `owner.name` to forward each call unchanged, and record it.
+
+    Returns the list that gains a `Call` as each call returns; pass `calls`
+    to record several bindings into one list, in the order their calls
+    return. Only this binding is patched, as by `monkeypatch.setattr`: a
+    module that imported the function under its own name still calls the
+    original. Tests take this as the `record` fixture; a hypothesis test
+    passes its own `pytest.MonkeyPatch.context()`.
+    """
+    calls = [] if calls is None else calls
+    real = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append(Call(name, args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+class Recorded(frozenset):
+    """A code's member set that records the probes made on it.
+
+    `tests` holds the words probed by each difference test (`isdisjoint`),
+    sorted, and `lookups` counts the words looked up one at a time (`in`).
+    """
+
+    def __init__(self, patterns):
+        self.tests, self.lookups = [], 0
+
+    def isdisjoint(self, other):
+        self.tests.append(sorted(other))
+        return frozenset.isdisjoint(self, self.tests[-1])
+
+    def __contains__(self, item):
+        self.lookups += 1
+        return frozenset.__contains__(self, item)
+
+
+class CountingCode(Code):
+    """A code whose membership probes, by bisection or in its set, are counted.
+
+    `built_at` is the number of bisections made when its `Recorded` set was
+    built, or None while it is not.
+    """
+
+    __slots__ = ()
+    bisections = 0
+    built_at = None
+
+    def _has(self, x):
+        CountingCode.bisections += 1
+        return Code._has(self, x)
+
+    def _members(self):
+        if self._bits is None:
+            CountingCode.built_at = CountingCode.bisections
+            self._bits = Recorded(self.bit_patterns)
+        return self._bits
+
+    @property
+    def probes(self) -> int:
+        """The bisections and the lookups in the set made so far."""
+        return CountingCode.bisections + (self._bits.lookups if self._bits else 0)
+
+
+def counting_copy(code: Code) -> CountingCode:
+    """A fresh copy of `code`, without its member set, with the counts reset."""
+    CountingCode.bisections = 0
+    CountingCode.built_at = None
+    return CountingCode._from_distinct(code.n, list(code.bit_patterns))
 
 
 @st.composite

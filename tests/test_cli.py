@@ -36,6 +36,18 @@ def files(tmp_path):
 
 
 class TestInfo:
+    def test_repeated_lines_are_one_warning_each(self, tmp_path, capsys):
+        # Lines 3 and 5 repeat lines 1 and 2: each is dropped, and named
+        # on stderr in file order, with no Python source location.
+        path = tmp_path / "dup.code"
+        path.write_text("01\n10\n01\n11\n10\n")
+        assert cli_main(["info", str(path)]) == 0
+        assert capsys.readouterr() == (
+            "(2, 3, 1)  rank=2  ker=0  nonlinear\n",
+            "warning: duplicate codeword 01 at line 3\n"
+            "warning: duplicate codeword 10 at line 5\n",
+        )
+
     def test_text_output(self, files, capsys):
         path = files("c.code", code("00", "01", "10"))
         assert cli_main(["info", path]) == 0
@@ -169,44 +181,32 @@ class TestVerify:
         assert "span mismatch against closure on first input" in captured.err
 
     def test_oracle_mode_closes_no_span_over_2_to_the_11_words(
-        self, files, capsys, monkeypatch
+        self, files, capsys, record
     ):
         # Rank-6 inputs give a rank-12 construction, whose 4,096-word span
         # would take up to 2^24 sums to close: only the inputs are closed.
-        closed, close = [], cli.span_bruteforce
-
-        def counted(c):
-            closed.append(c.n)
-            return close(c)
-
-        monkeypatch.setattr(cli, "span_bruteforce", counted)
+        closed = record(cli, "span_bruteforce")
         units = [1 << i for i in range(6)]
         a = files("a.code", Code._from_bits(6, [0, *units]))
         b = files("b.code", Code._from_bits(6, [0, *(u ^ 0b111111 for u in units)]))
         assert cli_main(["verify", "--oracle", a, b]) == 0
         assert "oracle cross-check          pass" in capsys.readouterr().out
-        assert closed == [6, 6]
+        assert [call.args[0].n for call in closed] == [6, 6]
 
     def test_oracle_mode_scans_no_kernel_past_the_pair_budget(
-        self, files, capsys, monkeypatch
+        self, files, capsys, record
     ):
         # universe(7) with itself gives 16,384 words of length 14, whose
         # 134,209,536 pairs are past the distance check's budget: neither
         # the pair scan nor the 2^14 translations run on them, and the two
         # 128-word inputs are still checked.
-        scanned, scan = [], cli.kernel_bruteforce
-
-        def counted(c):
-            scanned.append(len(c))
-            return scan(c)
-
-        monkeypatch.setattr(cli, "kernel_bruteforce", counted)
+        scanned = record(cli, "kernel_bruteforce")
         u = files("u.code", universe(7))
         start = time.perf_counter()
         assert cli_main(["verify", "--oracle", u, u]) == 0
         assert time.perf_counter() - start < 2
         assert "oracle cross-check          pass" in capsys.readouterr().out
-        assert scanned == [128, 128]
+        assert [len(call.args[0]) for call in scanned] == [128, 128]
 
     def test_oracle_mode_skips_a_span_over_the_cap(self, files, capsys, monkeypatch):
         # Under a cap of 64 words the rank-7 construction's span is neither
@@ -387,9 +387,14 @@ class TestUsageErrors:
         assert cli_main(["info", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
-    def test_family_arity_error(self, tmp_path):
+    def test_family_arity_error(self, tmp_path, capsys):
         out = tmp_path / "o.code"
         assert cli_main(["family", "repetition", "2", "3", "-o", str(out)]) == 2
+        capsys.readouterr()
+        assert cli_main(["family", "reed_muller", "2", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: reed_muller takes two arguments (r, m), got 1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["7", "-1", "2"])
     def test_random_family_zero_flag_is_0_or_1(self, flag, tmp_path, capsys):
@@ -403,14 +408,31 @@ class TestUsageErrors:
     def test_no_arguments(self):
         assert cli_main([]) == 2
 
-    @pytest.mark.parametrize("raw", ["abc", "0"])
-    def test_bad_enumeration_cap_is_named(self, raw, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        ("raw", "argv"),
+        [
+            pytest.param("abc", ["family", "universe", "3", "-o", "u.code"], id="abc"),
+            pytest.param("0", ["family", "universe", "3", "-o", "u.code"], id="0"),
+            # these never reach a cap check of their own
+            pytest.param(
+                "abc",
+                ["family", "repetition", "3", "-o", "u.code"],
+                id="abc-repetition",
+            ),
+            pytest.param("abc", ["info", "z.code"], id="abc-info"),
+            pytest.param("abc", ["kernel", "z.code"], id="abc-kernel"),
+        ],
+    )
+    def test_bad_enumeration_cap_is_named(
+        self, raw, argv, files, tmp_path, capsys, monkeypatch
+    ):
+        files("z.code", code("00", "11"))
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("PLOTKIN_MAX_ENUM", raw)
-        out = tmp_path / "u.code"
-        assert cli_main(["family", "universe", "3", "-o", str(out)]) == 2
+        assert cli_main(argv) == 2
         message = f"PLOTKIN_MAX_ENUM must be a positive integer, got {raw!r}"
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "u.code").exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -38,6 +38,7 @@ class TestWord:
     def test_string_round_trip(self):
         assert str(w("0101")) == "0101"
         assert w("0101") == Word(4, 0b0101)
+        assert repr(w("0101")) == "Word('0101')"
 
     def test_rejects_bad_strings(self):
         for text in ("", "012", "ab"):
@@ -182,6 +183,8 @@ class TestCode:
         assert code("01", "10") == code("10", "01")
         assert code("01") != code("10")
         assert hash(code("01", "10")) == hash(code("10", "01"))
+        assert code("01").__eq__({w("01")}) is NotImplemented
+        assert code("01") != {w("01")}
 
     def test_length_checked_on_the_packed_path(self, monkeypatch):
         from plotkit import core as core_module

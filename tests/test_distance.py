@@ -4,22 +4,31 @@ codes, far from quadratic on its known worst cases.
 The block search splits the coordinates into t blocks, groups the words by
 their value on each block, and scans each group pair by pair; a group
 distance under t lowers t, and the blocks are made again. Pairs compared are
-counted by wrapping the two private helpers that compare pairs: the bound
-pass (the first word against every other, then sorted neighbours) and the
-pair scan that runs inside each group of words and as the fallback. So the
-gate is a count, not a time.
+counted from the recorded calls of the two private helpers that compare
+pairs: the bound pass (the first word against every other, then sorted
+neighbours) and the pair scan that runs inside each group of words and as
+the fallback. So the gate is a count, not a time.
 """
 
 import tracemalloc
 from functools import reduce
 from itertools import combinations
+from math import comb
 from operator import xor
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import bucketed_coset_unions, coset_unions, nordstrom_robinson
+from strategies import (
+    CountingCode,
+    Recorded,
+    bucketed_coset_unions,
+    counting_copy,
+    coset_unions,
+    nordstrom_robinson,
+    record_calls,
+)
 
 import plotkit.invariants as invariants
 from plotkit.core import Code, Word
@@ -40,26 +49,22 @@ def all_pairs(code: Code) -> int:
 
 
 @pytest.fixture
-def compared(monkeypatch):
-    """A one-item list holding the pairs compared so far.
+def compared(record):
+    """The pairs compared so far, read by calling it.
 
     Each call is charged every pair it could compare, though both helpers
     stop early at distance 1.
     """
-    count = [0]
-    scan, bound = invariants._scan_pairs, invariants._upper_bound
+    scans = record(invariants, "_scan_pairs")
+    passes = record(invariants, "_upper_bound")
+    return lambda: sum(comb(len(c.args[0]), 2) for c in scans) + sum(
+        2 * (len(c.args[0]) - 1) for c in passes
+    )
 
-    def counted_scan(patterns):
-        count[0] += len(patterns) * (len(patterns) - 1) // 2
-        return scan(patterns)
 
-    def counted_bound(patterns):
-        count[0] += 2 * (len(patterns) - 1)
-        return bound(patterns)
-
-    monkeypatch.setattr(invariants, "_scan_pairs", counted_scan)
-    monkeypatch.setattr(invariants, "_upper_bound", counted_bound)
-    return count
+def bounds(calls) -> list[int]:
+    """The bound t handed to each recorded _groups, _least or _span_search call."""
+    return [call.args[2] for call in calls]
 
 
 def plus(code: Code, *extra: int) -> Code:
@@ -104,22 +109,26 @@ HAMMING_12 = [
 ]
 
 
-class CountingInt(int):
-    xors = 0
+class Xors(int):
+    """An int that counts each xor it takes part in, on either side."""
+
+    count = 0
 
     def __xor__(self, other):
-        CountingInt.xors += 1
+        Xors.count += 1
         return int.__xor__(self, other)
+
+    __rxor__ = __xor__
 
 
 def test_a_first_pair_at_distance_1_ends_the_search():
     # Random dense codes have d = 1, found within the first few pairs; the
     # search must stop there and not finish its bound pass.
-    c = Code._from_bits(10, [CountingInt(w) for w in range(1023)])
+    c = Code._from_bits(10, [Xors(w) for w in range(1023)])
     assert not is_linear(c)  # caches the rank, which xors too
-    CountingInt.xors = 0
+    Xors.count = 0
     assert min_distance(c) == 1
-    assert CountingInt.xors == 1
+    assert Xors.count == 1
 
 
 class TestWorstCases:
@@ -129,16 +138,16 @@ class TestWorstCases:
         c = plus(reed_muller(2, 4), 0b11)
         assert len(c) == 2049
         assert min_distance(c) == 2
-        assert compared[0] <= all_pairs(c) // 16  # M(M - 1) / 32
+        assert compared() <= all_pairs(c) // 16  # M(M - 1) / 32
 
     def test_reed_muller_1_5_plus_a_weight_three_word(self, compared):
         # RM(1,5) has weights 0, 16 and 32, so 0b111 is at distance 3 from
         # zero and at least 13 from every other codeword.
         c = plus(reed_muller(1, 5), 0b111)
         assert min_distance(c) == 3
-        assert compared[0] <= all_pairs(c) // 4
+        assert compared() <= all_pairs(c) // 4
 
-    def test_bound_lowered_twice(self, monkeypatch):
+    def test_bound_lowered_twice(self, record):
         # The bound pass finds only Hamming pairs at distance 4. 119 is at
         # distance 2 and 2303 at distance 1 from their nearest codewords.
         # The first group of the 4 blocks, the words that are 0 on
@@ -149,17 +158,11 @@ class TestWorstCases:
         c = plus(Code._from_bits(12, HAMMING_12), 119, 2303)
         assert invariants._upper_bound(c.bit_patterns) == 4
         assert min_distance(c) == naive_min(c) == 1
-        made, groups = [], invariants._groups
-
-        def counted(patterns, n, t):
-            made.append(t)
-            return groups(patterns, n, t)
-
-        monkeypatch.setattr(invariants, "_groups", counted)
+        made = record(invariants, "_groups")
         assert invariants._least(c.bit_patterns, c.n, 4) == 1
-        assert made == [4, 2]
+        assert bounds(made) == [4, 2]
 
-    def test_min_distance_picks_the_block_search(self, compared, monkeypatch):
+    def test_min_distance_picks_the_block_search(self, compared, record):
         # 1,024 random words of length 40 and rank 40, with t = 7: the
         # S = 4,598,479 sums of fewer than 7 rows outnumber the 523,776
         # pairs, so min_distance itself runs the block search. Its groups
@@ -167,19 +170,12 @@ class TestWorstCases:
         c = random_code(40, 1024, seed=1, include_zero=True)
         assert invariants.rank(c) == 40
         assert invariants._upper_bound(c.bit_patterns) == 7
-        bounds = []
-        least = invariants._least
-
-        def counted(patterns, n, t):
-            bounds.append(t)
-            return least(patterns, n, t)
-
-        monkeypatch.setattr(invariants, "_least", counted)
+        searched = record(invariants, "_least")
         assert min_distance(c) == naive_min(c) == 7
-        assert bounds == [7]
-        assert compared[0] <= all_pairs(c) // 5
+        assert bounds(searched) == [7]
+        assert compared() <= all_pairs(c) // 5
 
-    def test_groups_holding_every_pair_fall_back_to_the_scan(self, monkeypatch):
+    def test_groups_holding_every_pair_fall_back_to_the_scan(self, monkeypatch, record):
         # 30 even weight words of length 6 in the low half of length 12:
         # rank 5 and t = 2, so the span path would list S = 1 + 5 = 6 sums;
         # a cap of 5 keeps them off it. t = 2 splits the 12 coordinates
@@ -190,16 +186,9 @@ class TestWorstCases:
         assert invariants.rank(c) == 5
         assert invariants._upper_bound(c.bit_patterns) == 2
         monkeypatch.setenv("PLOTKIN_MAX_ENUM", "5")
-        scanned = []
-        scan = invariants._scan_pairs
-
-        def counted(patterns):
-            scanned.append(len(patterns))
-            return scan(patterns)
-
-        monkeypatch.setattr(invariants, "_scan_pairs", counted)
+        scanned = record(invariants, "_scan_pairs")
         assert min_distance(c) == naive_min(c) == 2
-        assert scanned == [30]
+        assert [len(call.args[0]) for call in scanned] == [30]
 
     # The seeds give d = 2, 3 and 4; d = 4 lists the most row sums.
     @pytest.mark.parametrize("seed", [1, 3, 30])
@@ -207,7 +196,7 @@ class TestWorstCases:
         c = plotkin_construct(*near_linear_pair(seed))
         assert len(c) == 33 * 129 and not is_linear(c)
         d = min_distance(c)
-        assert compared[0] <= all_pairs(c) // 4
+        assert compared() <= all_pairs(c) // 4
         assert d == naive_min(c)
 
 
@@ -344,49 +333,22 @@ def test_block_search_matches_naive(c):
     assert invariants._least(c.bit_patterns, c.n, t) == naive_min(c)
 
 
-class ProbeCounter(frozenset):
-    """A code's member set that counts the difference probes made on it."""
-
-    probes = 0
-
-    def isdisjoint(self, other):
-        self.probes += 1
-        return frozenset.isdisjoint(self, other)
-
-
-def counting_probes(c: Code) -> ProbeCounter:
-    c._bits = ProbeCounter(c._members())
+def counting_probes(c: Code) -> Recorded:
+    c._bits = Recorded(c._members())
     return c._bits
-
-
-class Recorded(frozenset):
-    """A code's member set that records the words each difference test probes."""
-
-    def __init__(self, patterns):
-        self.tests = []
-
-    def isdisjoint(self, other):
-        self.tests.append(sorted(other))
-        return frozenset.isdisjoint(self, self.tests[-1])
 
 
 @pytest.fixture
 def sums(monkeypatch):
-    """A one-item list holding the row sums listed so far.
+    """The row sums listed so far, read by calling it.
 
-    The code's RREF rows are handed out as `Row`s, and every sum costs one
-    xor s ^ row with a plain int s, which Python sends to `Row.__rxor__`.
+    The code's RREF rows are handed out as `Xors`, and every sum costs one
+    xor s ^ row with a plain int s, which Python sends to `Xors.__rxor__`.
     """
-    count = [0]
     real = invariants._code_rows
-
-    class Row(int):
-        def __rxor__(self, other):
-            count[0] += 1
-            return int(self) ^ other
-
-    monkeypatch.setattr(invariants, "_code_rows", lambda c: tuple(map(Row, real(c))))
-    return count
+    monkeypatch.setattr(invariants, "_code_rows", lambda c: tuple(map(Xors, real(c))))
+    Xors.count = 0
+    return lambda: Xors.count
 
 
 def even_weight(n: int) -> Code:
@@ -414,9 +376,9 @@ class TestSpanPath:
         c = plotkin_construct(*near_linear_pair(seed))
         members = counting_probes(c)
         assert min_distance(c) == d
-        assert sums == [{2: 14, 3: 105, 4: 469}[d]]
-        assert members.probes == 0
-        assert compared[0] == 2 * (2 * c.n - 1) == 126
+        assert sums() == {2: 14, 3: 105, 4: 469}[d]
+        assert members.tests == []
+        assert compared() == 2 * (2 * c.n - 1) == 126
 
     def test_a_dense_random_construction_ends_in_the_prefix(self, compared, sums):
         # 65,536 words of length 20 from two random 256-word codes: the
@@ -429,10 +391,10 @@ class TestSpanPath:
         )
         assert len(c) == 65_536 and c._bits is None
         assert min_distance(c) == 1
-        assert compared == [2 * (2 * c.n - 1)] and sums == [0]
+        assert compared() == 2 * (2 * c.n - 1) and sums() == 0
         assert c._bits is None
 
-    def test_a_sparse_code_goes_to_the_block_search_unprobed(self, monkeypatch, sums):
+    def test_a_sparse_code_goes_to_the_block_search_unprobed(self, record, sums):
         # 1,000 random words of length 22 and rank 22, with t = 2 over all
         # of them: M^2 < 2^22, so a span word is expected to be the
         # difference of no pair, and the span search never runs. The full
@@ -441,23 +403,14 @@ class TestSpanPath:
         c = random_code(22, 1000, seed=4, include_zero=True)
         assert invariants.rank(c) == 22
         assert invariants._upper_bound(c.bit_patterns) == 2
-        searched = []
-        least = invariants._least
-
-        def counted(patterns, n, t):
-            searched.append(t)
-            return least(patterns, n, t)
-
-        monkeypatch.setattr(invariants, "_least", counted)
+        searched = record(invariants, "_least")
         members = counting_probes(c)
         assert min_distance(c) == naive_min(c) == 2
-        assert searched == [2]
-        assert members.probes == 0
-        assert sums == [0]
+        assert bounds(searched) == [2]
+        assert members.tests == []
+        assert sums() == 0
 
-    def test_a_search_that_gives_up_hands_its_bound_to_the_block_search(
-        self, monkeypatch
-    ):
+    def test_a_search_that_gives_up_hands_its_bound_to_the_block_search(self, record):
         # 256 words of length 16, rank 16 and d = 2, with M^2 = 2^16: dense,
         # so the span search runs once, at the prefix bound t = 2, with the
         # block search's cost min(4tM, M(M-1)/2) = 2,048 as its budget. Its
@@ -468,29 +421,21 @@ class TestSpanPath:
             random_code(8, 16, seed=104, include_zero=True),
         )
         assert len(c) == 256 and invariants.rank(c) == 16
-        calls = []
-        search, least = invariants._span_search, invariants._least
-
-        def counted_search(code, rows, t, budget):
-            calls.append(("span", t, budget))
-            return search(code, rows, t, budget)
-
-        def counted_least(patterns, n, t):
-            calls.append(("least", t))
-            return least(patterns, n, t)
-
-        monkeypatch.setattr(invariants, "_span_search", counted_search)
-        monkeypatch.setattr(invariants, "_least", counted_least)
+        calls = record(invariants, "_span_search")
+        record(invariants, "_least", calls)
         assert min_distance(c) == naive_min(c) == 2
-        assert calls == [("span", 2, 2048), ("least", 2)]
+        assert [(call.name, *call.args[2:]) for call in calls] == [
+            ("_span_search", 2, 2048),
+            ("_least", 2),
+        ]
 
     def test_a_rank_16_code(self, sums):
         # t = 2, so only the 16 rows are listed; none has weight 1.
         c = even_weight_17()
         members = counting_probes(c)
         assert min_distance(c) == 2
-        assert sums == [16]
-        assert members.probes == 0
+        assert sums() == 16
+        assert members.tests == []
 
     def test_a_difference_under_the_bound_is_found_by_a_probe(self, sums):
         # RM(2,4) plus two words 2 apart: rank 13, and the bound on the
@@ -503,12 +448,10 @@ class TestSpanPath:
         assert invariants._upper_bound(c.bit_patterns) == 4
         members = counting_probes(c)
         assert min_distance(c) == naive_min(c) == 2
-        assert sums == [91]
-        assert members.probes == 1
+        assert sums() == 91
+        assert len(members.tests) == 1
 
-    def test_the_first_test_builds_the_member_set_and_walks_the_leaders(
-        self, monkeypatch
-    ):
+    def test_the_first_test_builds_the_member_set_and_walks_the_leaders(self):
         # A copy of NR with no member set, given NR's measured kernel, of
         # dimension 5: its 8 leaders are the codewords zero on the 5 pivots
         # of the kernel's rows. The prefix bound is d = 6, so each of the
@@ -516,24 +459,15 @@ class TestSpanPath:
         # test builds the member set, once, no probe bisects, and each test
         # probes x + c for the 8 leaders c alone.
         nr = nordstrom_robinson()
-        c = Code._from_distinct(16, list(nr.bit_patterns))
+        c = counting_copy(nr)
         c._kernel = kernel(nr)
         rows = invariants._code_rows(c._kernel)
         pivots = sum(1 << (k.bit_length() - 1) for k in rows)
         leaders = [w for w in c.bit_patterns if not w & pivots]
         assert len(leaders) == 8
-        built = []
-
-        def members(code):
-            if code._bits is None:
-                built.append(len(code))
-                code._bits = Recorded(code.bit_patterns)
-            return code._bits
-
-        monkeypatch.setattr(Code, "_members", members)
-        monkeypatch.setattr(Code, "_has", None)
         assert min_distance(c) == 6
-        assert built == [256] and len(c._bits.tests) == 140
+        assert CountingCode.built_at == CountingCode.bisections == 0
+        assert len(c._bits.tests) == 140
         # Zero is a leader, so each tested span word x is itself probed.
         for probed in c._bits.tests:
             assert any(
@@ -555,7 +489,7 @@ class TestSpanPath:
         assert invariants._span_search(c, rows, 2, 17) == 2
         assert invariants._span_search(c, rows, 2, 16) is None
 
-    def test_a_rank_18_code_read_directly(self, monkeypatch, sums):
+    def test_a_rank_18_code_read_directly(self, record, sums):
         # 19 words of rank 18 and t = 8: 8,359 span words are lighter than
         # t, and the S = 63,004 sums of fewer than 8 rows alone outnumber the
         # 171 pairs that the block search would compare at most. So the span
@@ -568,42 +502,28 @@ class TestSpanPath:
         rows = invariants._code_rows(c)
         light = [x for x in _span(map(int, rows)) if 0 < x.bit_count() < t]
         assert len(light) == 8359 and len(light) * 19 > all_pairs(c) == 171
-        bounds = []
-        least = invariants._least
-
-        def counted(patterns, n, t):
-            bounds.append(t)
-            return least(patterns, n, t)
-
-        monkeypatch.setattr(invariants, "_least", counted)
+        searched = record(invariants, "_least")
         members = counting_probes(c)
         assert invariants._span_search(c, rows, t, all_pairs(c)) is None
         assert min_distance(c) == naive_min(c) == 7
-        assert bounds == [8]
-        assert members.probes == 0
-        assert sums == [0]
+        assert bounds(searched) == [8]
+        assert members.tests == []
+        assert sums() == 0
 
-    def test_the_span_path_obeys_the_enumeration_cap(self, monkeypatch, sums):
+    def test_the_span_path_obeys_the_enumeration_cap(self, monkeypatch, record, sums):
         # The rank-16 code above has t = 2, so the span path lists S = 17
         # sums: zero and the 16 rows, one xor each. A cap of 16 sends it to
         # the block search; a cap of 17 lists them, and no block is made.
-        searched = []
-        least = invariants._least
-
-        def counted(patterns, n, t):
-            searched.append(t)
-            return least(patterns, n, t)
-
-        monkeypatch.setattr(invariants, "_least", counted)
+        searched = record(invariants, "_least")
         monkeypatch.setenv("PLOTKIN_MAX_ENUM", "16")
         assert min_distance(even_weight_17()) == 2
-        assert sums == [0] and searched[0] == 2
+        assert sums() == 0 and bounds(searched)[0] == 2
         searched.clear()
         monkeypatch.setenv("PLOTKIN_MAX_ENUM", "17")
         assert min_distance(even_weight_17()) == 2
-        assert sums == [16] and searched == []
+        assert sums() == 16 and searched == []
 
-    def test_the_cap_stops_the_span_search_at_level_2(self, monkeypatch, sums):
+    def test_the_cap_stops_the_span_search_at_level_2(self, monkeypatch, record, sums):
         # RM(2,4) plus two words 2 apart, rank 13 and t = 4: level 1 takes
         # the sums listed to 1 + 13 = 14, and level 2 to 92. A cap of 91
         # stops the search before level 2, so the block search finds d;
@@ -612,20 +532,13 @@ class TestSpanPath:
         rows = invariants._code_rows(c)
         monkeypatch.setenv("PLOTKIN_MAX_ENUM", "91")
         assert invariants._span_search(c, rows, 4) is None
-        assert sums == [13]
-        searched = []
-        least = invariants._least
-
-        def counted(patterns, n, t):
-            searched.append(t)
-            return least(patterns, n, t)
-
-        monkeypatch.setattr(invariants, "_least", counted)
-        assert min_distance(c) == 2 and searched == [4]
+        assert sums() == 13
+        searched = record(invariants, "_least")
+        assert min_distance(c) == 2 and bounds(searched) == [4]
         monkeypatch.setenv("PLOTKIN_MAX_ENUM", "92")
-        sums[0] = 0
+        Xors.count = 0
         assert invariants._span_search(c, rows, 4) == 2
-        assert sums == [91]
+        assert sums() == 91
 
     def test_a_rank_17_code_takes_the_span_path(self, monkeypatch, sums):
         # No rank bound beside the cap: 131,071 words of rank 17 are read
@@ -633,7 +546,7 @@ class TestSpanPath:
         c = even_weight(18)
         monkeypatch.setattr(invariants, "_least", None)
         assert min_distance(c) == 2
-        assert sums == [17]
+        assert sums() == 17
 
     def test_a_sparse_rank_20_code_never_lists_its_span(self, monkeypatch):
         # 13,000 of the 2^20 even weight words of length 21, with t = 2.
@@ -704,16 +617,10 @@ def test_one_span_search_and_only_on_dense_codes(c):
     # The span search runs at most once, and never on a code with
     # M^2 < 2^r, where a span word is expected to be the difference of no
     # pair. Each call records the rank r of the rows it is given.
-    ranks = []
-    search = invariants._span_search
-
-    def counted(code, rows, t, budget):
-        ranks.append(len(rows))
-        return search(code, rows, t, budget)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(invariants, "_span_search", counted)
+        searches = record_calls(mp, invariants, "_span_search")
         assert min_distance(c) == distance_bruteforce(c)
+    ranks = [len(call.args[1]) for call in searches]
     assert len(ranks) <= 1
     assert all(len(c) ** 2 >= 1 << r for r in ranks)
 
@@ -733,27 +640,21 @@ class TestNordstromRobinson:
         ("first", "leaders", "tests"), [("nr", 64, 280), ("rm24", 8, 152)]
     )
     def test_large_kernel_constructions_are_read_from_the_span(
-        self, monkeypatch, first, leaders, tests
+        self, monkeypatch, record, first, leaders, tests
     ):
         # The prefix bound is d = 6, so every span word lighter than 6 is
         # tested, each with one probe per leader, and none hits.
         nr = nordstrom_robinson()
         c = plotkin_construct(nr if first == "nr" else reed_muller(2, 4), nr)
-        searched = []
-        search = invariants._span_search
-
-        def counted(code, rows, t, budget):
-            searched.append(t)
-            return search(code, rows, t, budget)
+        searched = record(invariants, "_span_search")
 
         def refused(patterns, n, t):
             raise AssertionError("the block search ran")
 
-        monkeypatch.setattr(invariants, "_span_search", counted)
         monkeypatch.setattr(invariants, "_least", refused)
         c._bits = Recorded(c.bit_patterns)
         assert min_distance(c) == 6
-        assert searched == [6]
+        assert bounds(searched) == [6]
         assert [len(probed) for probed in c._bits.tests] == [leaders] * tests
 
     @pytest.mark.parametrize(

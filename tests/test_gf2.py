@@ -202,27 +202,22 @@ class TestReduceBits:
         ranks = []
         eliminate = gf2._eliminate
 
-        def counted(batch, n, pivots):
+        # The pivots dict grows in place, so its size is read after each call.
+        def ranked(batch, n, pivots):
             eliminate(batch, n, pivots)
             ranks.append(len(pivots))
 
-        monkeypatch.setattr(gf2, "_eliminate", counted)
+        monkeypatch.setattr(gf2, "_eliminate", ranked)
         assert _reduce_bits(rows, 18) == reduce_bits_by_row_scan(rows)
         assert ranks[-2:] == [11, 12]
 
-    def test_reed_muller_2_5_across_full_batches(self, monkeypatch):
+    def test_reed_muller_2_5_across_full_batches(self, record):
         # 65,536 rows of length 32 and rank 16: a 64-row prefix, then
         # batches that double from 64 rows and stop growing at 4,096.
-        sizes = []
-        eliminate = gf2._eliminate
-
-        def counted(batch, n, pivots):
-            sizes.append(len(batch))
-            eliminate(batch, n, pivots)
-
-        monkeypatch.setattr(gf2, "_eliminate", counted)
+        batches = record(gf2, "_eliminate")
         rows = list(reed_muller(2, 5).bit_patterns)
         assert _reduce_bits(rows, 32) == reduce_bits_by_row_scan(rows)
+        sizes = [len(call.args[0]) for call in batches]
         assert sizes[:7] == [64, 128, 256, 512, 1024, 2048, 4096]
         assert max(sizes) == 4096 and sum(sizes) == len(rows) - 64
 
@@ -273,50 +268,41 @@ class TestCodeRows:
         assert list(_code_rows(code)) == reduce_bits_by_row_scan(rows)
 
     @pytest.mark.parametrize("n", [56, 57, 64, 65])
-    def test_each_slot_width_reaches_a_batch(self, n, monkeypatch):
+    def test_each_slot_width_reaches_a_batch(self, n, record):
         # The span of 12 random words and one more word, 4,097 words of
         # rank 13 < n, at the last narrowed slot width, the first full
         # 8-byte one, the last 8-byte one and the first packed per word.
-        batches = []
-        eliminate = gf2._eliminate
-
-        def counted(batch, n, pivots):
-            batches.append(len(batch))
-            eliminate(batch, n, pivots)
-
-        monkeypatch.setattr(gf2, "_eliminate", counted)
+        batches = record(gf2, "_eliminate")
         rows = [w.bits for w in random_words(n, count=13, n=n)]
         code = Code._from_bits(n, [*_span(rows[:12]), rows[12]])
         expected = reduce_bits_by_row_scan(list(code.bit_patterns))
         assert list(_code_rows(code)) == expected and len(expected) == 13
-        assert sum(batches) == len(code)
+        assert sum(len(call.args[0]) for call in batches) == len(code)
 
-    def test_reed_muller_2_5_feeds_its_sorted_words_to_the_batches(self, monkeypatch):
+    def test_reed_muller_2_5_feeds_its_sorted_words_to_the_batches(
+        self, monkeypatch, record
+    ):
         # 65,536 words of length 32 and rank 16: the per-row prefix reads
         # 64 words in stride order, and the batches then read every word
         # of the sorted tuple once, in 64, 128, ... 4,096 rows.
-        batches, fed = [], []
-        eliminate, reduce_bits = gf2._eliminate, gf2._reduce_bits
+        batches, fed = record(gf2, "_eliminate"), []
+        reduce_bits = gf2._reduce_bits
 
-        def counted(batch, n, pivots):
-            batches.append(batch)
-            eliminate(batch, n, pivots)
-
+        # The rows come as an iterator, which is drained to keep its words.
         def recorded(patterns, n):
             fed.extend(patterns)
             return reduce_bits(fed, n)
 
-        monkeypatch.setattr(gf2, "_eliminate", counted)
         monkeypatch.setattr(gf2, "_reduce_bits", recorded)
         p = reed_muller(2, 5).bit_patterns
         code = Code._from_distinct(32, list(p))  # a copy with no rows cached
         assert list(gf2._code_rows(code)) == reduce_bits_by_row_scan(list(p))
         assert fed[:64] == [p[i * gf2._STRIDE % len(p)] for i in range(64)]
         assert fed[64:] == list(p)
-        sizes = [len(batch) for batch in batches]
+        sizes = [len(call.args[0]) for call in batches]
         assert sizes[:7] == [64, 128, 256, 512, 1024, 2048, 4096]
         assert max(sizes) == 4096
-        assert [v for batch in batches for v in batch] == list(p)
+        assert [v for call in batches for v in call.args[0]] == list(p)
 
 
 class TestCodeBasis:

@@ -29,7 +29,13 @@ from random import Random
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
-from strategies import bucketed_coset_unions, coset_unions
+from strategies import (
+    CountingCode,
+    bucketed_coset_unions,
+    counting_copy,
+    coset_unions,
+    record_calls,
+)
 
 import plotkit.cli as cli
 import plotkit.gf2 as gf2
@@ -44,48 +50,10 @@ from plotkit.oracle import BRUTE_KERNEL_MAX_N, kernel_bruteforce
 from plotkit.plotkin import _verify, plotkin_construct
 
 
-class CountingSet(frozenset):
-    probes = 0
-
-    def __contains__(self, item):
-        CountingSet.probes += 1
-        return frozenset.__contains__(self, item)
-
-
-class CountingCode(Code):
-    """A code whose membership probes, by bisection or in its set, are counted.
-
-    `built_at` is the number of bisections made when the set was built, or
-    None while it is not.
-    """
-
-    __slots__ = ()
-    bisections = 0
-    built_at = None
-
-    def _has(self, x):
-        CountingSet.probes += 1
-        CountingCode.bisections += 1
-        return Code._has(self, x)
-
-    def _members(self):
-        if self._bits is None:
-            CountingCode.built_at = CountingCode.bisections
-            self._bits = CountingSet(self.bit_patterns)
-        return self._bits
-
-
-def counting_copy(code: Code) -> CountingCode:
-    """A fresh copy of `code`, without its member set, with the counts reset."""
-    CountingSet.probes = CountingCode.bisections = 0
-    CountingCode.built_at = None
-    return CountingCode._from_distinct(code.n, list(code.bit_patterns))
-
-
 def kernel_probes(code: Code) -> tuple[Code, int]:
     """Kernel of a fresh copy of `code` and the membership probes it took."""
-    k = kernel(counting_copy(code))
-    return k, CountingSet.probes
+    copy = counting_copy(code)
+    return kernel(copy), copy.probes
 
 
 def scan_probes(code: Code) -> tuple[Code, int]:
@@ -94,8 +62,8 @@ def scan_probes(code: Code) -> tuple[Code, int]:
     kernel() reads {0} off a code of odd size without scanning it, so the
     scan's own gates on odd shapes call it directly.
     """
-    k = invariants._kernel_scan(counting_copy(code))
-    return k, CountingSet.probes
+    copy = counting_copy(code)
+    return invariants._kernel_scan(copy), copy.probes
 
 
 def plus_largest_outside(code: Code) -> Code:
@@ -116,17 +84,14 @@ def systematic_code(n: int, k: int, seed: int) -> Code:
 
 
 @pytest.fixture
-def scanned(monkeypatch):
-    """The size of each code handed to the kernel scan so far."""
-    sizes = []
-    scan = invariants._kernel_scan
+def scanned(record):
+    """The calls of the kernel scan so far."""
+    return record(invariants, "_kernel_scan")
 
-    def counted(code):
-        sizes.append(len(code))
-        return scan(code)
 
-    monkeypatch.setattr(invariants, "_kernel_scan", counted)
-    return sizes
+def sizes(calls) -> list[int]:
+    """The size of the code handed to each recorded call."""
+    return [len(call.args[0]) for call in calls]
 
 
 def minus_largest(linear: Code, count: int = 1) -> Code:
@@ -265,7 +230,7 @@ class TestBisectionBudget:
             c1, c2 = (random_code(10, 256, t, include_zero=True) for t in (s, s + 1))
             c = counting_copy(plotkin_construct(c1, c2))
             assert kernel(c) == Code._from_bits(20, [0])
-            assert CountingSet.probes == CountingCode.bisections <= len(c) // 16
+            assert c.probes == CountingCode.bisections <= len(c) // 16
             assert c._bits is None
             code = plotkin_construct(c1, c2)
             assert _verify(c1, c2, code).all_checks_hold
@@ -285,29 +250,22 @@ class TestBisectionBudget:
         linear = systematic_code(16, 14, 1).bit_patterns
         c = Code._from_bits(16, linear + (linear[index - 1] + 1,))
         assert c.bit_patterns[index] == linear[index - 1] + 1
-        k = invariants._kernel_scan(counting_copy(c))
+        copy = counting_copy(c)
+        k = invariants._kernel_scan(copy)
         # |C| = 2^14 + 1 is odd and the kernel's cosets partition C
         assert k == kernel(c) == Code._from_bits(16, [0])
         assert CountingCode.built_at == built_at
         if built_at is None:
             # 512 for the witness search, 256 first and 1 second filter probes
-            assert CountingCode.bisections == CountingSet.probes == 769
+            assert CountingCode.bisections == copy.probes == 769
         else:
             assert CountingCode.bisections == built_at
 
 
 @pytest.fixture
-def reductions(monkeypatch):
-    """The length of each row reduction made so far."""
-    lengths = []
-    reduce_bits = gf2._reduce_bits
-
-    def counted(patterns, n):
-        lengths.append(n)
-        return reduce_bits(patterns, n)
-
-    monkeypatch.setattr(gf2, "_reduce_bits", counted)
-    return lengths
+def reductions(record):
+    """The row reductions made so far."""
+    return record(gf2, "_reduce_bits")
 
 
 class TestLinearMinusWords:
@@ -329,7 +287,7 @@ class TestLinearMinusWords:
         k, probes = kernel_probes(c)
         # the two missing words a, b leave the kernel {0, a + b}
         assert k == kernel_bruteforce(c) and dim(k) == 1
-        assert scanned == [len(c)]
+        assert sizes(scanned) == [len(c)]
         assert probes <= 3 * len(c)
 
     def test_systematic_16_11_minus_one_word(self, scanned):
@@ -347,7 +305,7 @@ class TestLinearMinusWords:
             k, probes = kernel_probes(c)
             assert k == kernel_bruteforce(c)
             assert probes <= 3 * len(c)
-        assert scanned == [len(c)] * 3
+        assert sizes(scanned) == [len(c)] * 3
 
     def test_cosets_of_a_linear_code_minus_four_words(self, scanned):
         linear = systematic_code(12, 9, 7)
@@ -360,7 +318,7 @@ class TestLinearMinusWords:
             k, probes = kernel_probes(shifted(c, x))
             assert k == kernel_bruteforce(c)
             assert probes <= 3 * len(c)
-        assert scanned == [len(c)] * 3
+        assert sizes(scanned) == [len(c)] * 3
 
     def test_a_linear_code_minus_22_to_24_words(self, scanned):
         # 106 and 104 words are scanned themselves. The 105 words between
@@ -372,7 +330,7 @@ class TestLinearMinusWords:
             assert k == kernel_bruteforce(c)
             if count == 23:
                 assert k == Code._from_bits(10, [0]) and probes == 0
-        assert scanned == [106, 104]
+        assert sizes(scanned) == [106, 104]
 
     def test_reed_muller_2_5_minus_300_random_words(self, scanned, tmp_path, capsys):
         # 65,236 words miss 300 of their span. RM(2,5) has d = 8, so the
@@ -385,7 +343,7 @@ class TestLinearMinusWords:
             k, probes = kernel_probes(shifted(c, x))
             assert k == Code._from_bits(32, [0])
             assert probes <= 3 * len(c)
-        assert scanned == [len(c)] * 2
+        assert sizes(scanned) == [len(c)] * 2
         path = tmp_path / "rm25-300.code"
         path.write_text(format_code_file(c))
         assert cli_main(["kernel", str(path)]) == 0
@@ -404,7 +362,7 @@ class TestLinearMinusWords:
             assert k == kernel_bruteforce(c)
             if count == 1:
                 assert k == Code._from_bits(10, [0]) and probes == 0
-        assert scanned == [126]
+        assert sizes(scanned) == [126]
 
     def test_cli_kernel_of_reed_muller_2_5_minus_its_largest_word(
         self, scanned, reductions, tmp_path, capsys
@@ -426,7 +384,7 @@ class TestLinearMinusWords:
         path.write_text(format_code_file(c))
         assert cli_main(["kernel", str(path)]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "# kernel n=32 dim=1 M=2"
-        assert scanned == [len(c)]
+        assert sizes(scanned) == [len(c)]
 
 
 @st.composite
@@ -573,11 +531,11 @@ def test_kernel_by_bisection_matches_bruteforce(c):
     budget = len(c) // invariants._BISECT_SHARE
     assert CountingCode.bisections <= budget
     if CountingCode.built_at is None:
-        assert CountingSet.probes == CountingCode.bisections
+        assert copy.probes == CountingCode.bisections
         event("no member set")
     else:
         assert CountingCode.built_at == CountingCode.bisections
-        assert CountingSet.probes > CountingCode.bisections
+        assert copy.probes > CountingCode.bisections
         if budget:
             spent = CountingCode.built_at == budget
             event("set built at the budget" if spent else "set built below it")
@@ -629,14 +587,10 @@ def test_a_one_word_code_keeps_the_linear_test():
 @given(st.one_of(small_codes(), coset_unions().map(lambda drawn: drawn[0])))
 def test_an_even_sized_code_is_scanned(c):
     assume(len(c) % 2 == 0 and not is_linear(c))
-    sizes = []
     with pytest.MonkeyPatch.context() as mp:
-        scan = invariants._kernel_scan
-        mp.setattr(
-            invariants, "_kernel_scan", lambda code: sizes.append(len(code)) or scan(code)
-        )
+        scans = record_calls(mp, invariants, "_kernel_scan")
         k = kernel(c)
-    assert len(sizes) == 1 and k == kernel_bruteforce(c)
+    assert len(scans) == 1 and k == kernel_bruteforce(c)
 
 
 @settings(max_examples=100, deadline=None)
@@ -652,22 +606,15 @@ def test_the_scan_agrees_with_the_certificate_on_odd_sizes(c):
     assert invariants._kernel_scan(c) == kernel(c) == kernel_bruteforce(c)
 
 
-def test_the_oracle_brute_forces_an_odd_sized_pair(tmp_path, monkeypatch, capsys):
+def test_the_oracle_brute_forces_an_odd_sized_pair(tmp_path, record, capsys):
     # The certificate gives all three kernels; the oracle still scans all
     # 2^n translations of each code and must agree.
-    found = []
-
-    def counted(code):
-        k = kernel_bruteforce(code)
-        found.append((len(code), k))
-        return k
-
-    monkeypatch.setattr(cli, "kernel_bruteforce", counted)
+    found = record(cli, "kernel_bruteforce")
     paths = []
     for name, m, seed in (("a.code", 9, 1), ("b.code", 5, 2)):
         paths.append(tmp_path / name)
         paths[-1].write_text(format_code_file(random_code(6, m, seed, include_zero=True)))
     assert cli_main(["verify", "--oracle", *map(str, paths)]) == 0
     assert "oracle cross-check          pass" in capsys.readouterr().out
-    assert [m for m, _ in found] == [9, 5, 45]
-    assert all(k == Code._from_bits(k.n, [0]) for _, k in found)
+    assert sizes(found) == [9, 5, 45]
+    assert all(call.result == Code._from_bits(call.result.n, [0]) for call in found)

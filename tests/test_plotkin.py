@@ -286,17 +286,11 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_plotkin(code("00"), code("000"))
 
-    def test_builds_the_construction_once(self, monkeypatch):
-        calls = []
-
-        def counted(c1, c2):
-            calls.append((c1, c2))
-            return plotkin_construct(c1, c2)
-
-        monkeypatch.setattr(plotkin, "plotkin_construct", counted)
+    def test_builds_the_construction_once(self, record):
+        calls = record(plotkin, "plotkin_construct")
         c1, c2 = reed_muller(1, 3), random_code(8, 20, seed=7, include_zero=True)
         assert verify_plotkin(c1, c2).all_checks_hold
-        assert calls == [(c1, c2)]
+        assert [call.args for call in calls] == [(c1, c2)]
 
     def test_a_kernel_missing_one_word_fails_theorem_i(self, monkeypatch):
         c1, c2 = reed_muller(1, 3), random_code(8, 20, seed=7, include_zero=True)
