@@ -81,17 +81,8 @@ def _groups(patterns, n: int, t: int) -> list[list[int]]:
 
 
 def _least(patterns, n: int, t: int) -> int:
-    """min(t, least distance between two of the distinct length-n patterns).
-
-    Every pair is scanned when t > 1 and 4tM >= M(M-1)/2. That rule is
-    tested once, with the first t: t only falls from pass to pass, so a
-    rule that fails on the first pass fails on every later one.
-    """
+    """min(t, least distance between two of the distinct length-n patterns)."""
     all_pairs = len(patterns) * (len(patterns) - 1) // 2
-    # Putting a word in a group costs about as much as four pair
-    # comparisons, and t blocks put every word in t groups.
-    if t > 1 and 4 * t * len(patterns) >= all_pairs:
-        return min(t, _scan_pairs(patterns))
     while t > 1:
         groups = _groups(patterns, n, t)
         if sum(len(g) * (len(g) - 1) // 2 for g in groups) >= all_pairs:
@@ -173,15 +164,21 @@ def _span_search(code: Code, rows, t: int, budget: float = inf) -> int | None:
 def min_distance(code: Code) -> int:
     """Minimum Hamming distance over pairs of distinct codewords.
 
-    Needs at least two codewords. The code is searched exactly, each path
+    Needs at least two codewords. The code is searched exactly, each route
     charged for its work in pairs compared, row sums listed and membership
-    probes:
+    probes. The routes are tried in this order:
 
     - Prefix bound: comparing the first of the first 2n sorted codewords
       with each of the others, then each with the next, gives a distance t
       that occurs, for 2(2n - 1) pairs. A pair at distance 1 ends the
       search there.
-    - Span, once, on a code with M^2 >= 2^r, where each light span word
+    - All pairs, when the block search would compare every pair: putting
+      each of the M words in t groups costs about as much as 4tM pair
+      comparisons (a placement costs about four), and a code with
+      4tM >= M(M-1)/2 has its M(M-1)/2 pairs compared, with no rows, no
+      span search and no block search. t only falls from here on, so the
+      rule is tested once, at the prefix bound.
+    - Span search, on a code with M^2 >= 2^r, where each light span word
       is expected to be a difference: d is the least weight of a nonzero
       span word x with C & (C + x) nonempty. Each span word of weight j is
       a sum of at most j of the code's r RREF rows, so the sums are listed
@@ -191,13 +188,13 @@ def min_distance(code: Code) -> int:
       code's kernel K, one codeword per coset of K, as c + x is a
       codeword exactly when (c + k) + x is, for k in K. The kernel is
       measured at the first test if it is not cached; a linear code is its
-      own kernel and has one leader. The search gives up once its sums and probes,
-      |C| / |K| per test, would pass the block search's cost at this t,
-      about min(4tM, M(M-1)/2).
+      own kernel and has one leader. The search gives up once its sums and
+      probes, |C| / |K| per test, would pass the block search's cost at
+      this t, 4tM.
     - Full bound and block search, when the span search gives up or the
       code is sparse in its span: the same comparison over all M words
       lowers t, unless the code has at most 2n words, and the block search
-      below reads d from it.
+      reads d from it.
 
     The block search compares only the pairs that can beat the bound:
 
@@ -209,10 +206,8 @@ def min_distance(code: Code) -> int:
     - Re-block: the first group distance under t lowers the bound, and the
       blocks are made again for it. A full pass over the t blocks that
       finds no pair under t proves that d = t.
-    - Fallback: every pair is compared when putting each of the M words in
-      t groups would cost about as much, 4tM >= M(M-1)/2 (a placement
-      costs about four comparisons), or when the groups hold M(M-1)/2
-      pairs or more.
+    - Fallback: every pair is compared when the groups of a pass, counted
+      before any of their pairs is compared, hold M(M-1)/2 pairs or more.
 
     The result is exact, read from the code alone and cached on it; no
     structure is assumed.
@@ -230,9 +225,13 @@ def _distance(code: Code) -> int:
     t = _upper_bound(patterns[: 2 * n])
     if t == 1:
         return 1
+    # Putting a word in a group costs about as much as four pair
+    # comparisons, and t blocks put every word in t groups.
+    if 4 * t * m >= m * (m - 1) // 2:
+        return _scan_pairs(patterns)
     rows = _code_rows(code)
     if m * m >= 1 << len(rows):
-        d = _span_search(code, rows, t, min(4 * t * m, m * (m - 1) // 2))
+        d = _span_search(code, rows, t, 4 * t * m)
         if d is not None:
             return d
     if m > 2 * n:

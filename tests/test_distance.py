@@ -131,6 +131,37 @@ def test_a_first_pair_at_distance_1_ends_the_search():
     assert Xors.count == 1
 
 
+def routes(record) -> list:
+    """The calls of the pair scan, the span search and the block search."""
+    calls = record(invariants, "_scan_pairs")
+    record(invariants, "_span_search", calls)
+    record(invariants, "_least", calls)
+    return calls
+
+
+class TestAllPairs:
+    """A code with 4tM >= M(M-1)/2 at the prefix bound t has every pair
+    compared: putting its M words in t groups would cost as much."""
+
+    def test_a_two_word_code_compares_its_one_pair(self, record):
+        # t = 8 and 4tM = 64 >= 1: one scan over the 2 words, with no rows,
+        # no span search and no block search.
+        calls = routes(record)
+        assert min_distance(repetition(8)) == 8
+        assert [(call.name, len(call.args[0])) for call in calls] == [("_scan_pairs", 2)]
+
+    @pytest.mark.parametrize(("m", "route"), [(17, "_scan_pairs"), (18, "_span_search")])
+    def test_the_rule_holds_up_to_8t_plus_1_words(self, record, m, route):
+        # The first m even weight words of length 8 have t = 2 on their
+        # first 16 words. 17 words give 4tM = 136 = M(M-1)/2 and are
+        # scanned; 18 words give 144 < 153, and the span search reads them.
+        c = Code._from_bits(8, [w for w in range(256) if w.bit_count() % 2 == 0][:m])
+        assert invariants._upper_bound(c.bit_patterns[:16]) == 2
+        calls = routes(record)
+        assert min_distance(c) == naive_min(c) == 2
+        assert [call.name for call in calls] == [route]
+
+
 class TestWorstCases:
     def test_reed_muller_2_4_plus_a_weight_two_word(self, compared):
         # d(RM(2,4)) = 4, and 0b11 is at distance 2 from zero and at least
@@ -413,7 +444,7 @@ class TestSpanPath:
     def test_a_search_that_gives_up_hands_its_bound_to_the_block_search(self, record):
         # 256 words of length 16, rank 16 and d = 2, with M^2 = 2^16: dense,
         # so the span search runs once, at the prefix bound t = 2, with the
-        # block search's cost min(4tM, M(M-1)/2) = 2,048 as its budget. Its
+        # block search's cost 4tM = 2,048 as its budget. Its
         # weight-1 rows take more tests of 256 probes than that, so it gives
         # up, and the block search gets t = 2 with no second span search.
         c = plotkin_construct(
@@ -492,9 +523,9 @@ class TestSpanPath:
     def test_a_rank_18_code_read_directly(self, record, sums):
         # 19 words of rank 18 and t = 8: 8,359 span words are lighter than
         # t, and the S = 63,004 sums of fewer than 8 rows alone outnumber the
-        # 171 pairs that the block search would compare at most. So the span
-        # search, called directly with that budget, gives up before it
-        # lists a sum, and min_distance runs the block search with t = 8.
+        # 171 pairs. So the span search, called directly with that budget,
+        # gives up before it lists a sum. min_distance never lists one:
+        # 4tM = 608 >= 171, so it compares the 171 pairs at once.
         c = random_code(24, 19, seed=3, include_zero=True)
         assert invariants.rank(c) == 18
         t = invariants._upper_bound(c.bit_patterns)
@@ -505,8 +536,10 @@ class TestSpanPath:
         searched = record(invariants, "_least")
         members = counting_probes(c)
         assert invariants._span_search(c, rows, t, all_pairs(c)) is None
+        scanned = record(invariants, "_scan_pairs")
         assert min_distance(c) == naive_min(c) == 7
-        assert bounds(searched) == [8]
+        assert searched == []
+        assert [len(call.args[0]) for call in scanned] == [19]
         assert members.tests == []
         assert sums() == 0
 
@@ -616,13 +649,19 @@ def test_min_distance_matches_distance_bruteforce(c):
 def test_one_span_search_and_only_on_dense_codes(c):
     # The span search runs at most once, and never on a code with
     # M^2 < 2^r, where a span word is expected to be the difference of no
-    # pair. Each call records the rank r of the rows it is given.
+    # pair. Each call records the rank r of the rows it is given. Neither
+    # search runs on a code whose pairs are all compared at the prefix
+    # bound t, where 4tM >= M(M-1)/2.
     with pytest.MonkeyPatch.context() as mp:
         searches = record_calls(mp, invariants, "_span_search")
+        blocks = record_calls(mp, invariants, "_least")
         assert min_distance(c) == distance_bruteforce(c)
     ranks = [len(call.args[1]) for call in searches]
     assert len(ranks) <= 1
     assert all(len(c) ** 2 >= 1 << r for r in ranks)
+    m, t = len(c), invariants._upper_bound(c.bit_patterns[: 2 * c.n])
+    if t > 1 and 4 * t * m >= m * (m - 1) // 2:
+        assert searches == blocks == []
 
 
 class TestNordstromRobinson:
