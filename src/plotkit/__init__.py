@@ -15,7 +15,6 @@ from .codefile import (
 from .core import (
     Code,
     Word,
-    code_from_words,
     concat,
     hamming_distance,
     translate,
@@ -62,7 +61,6 @@ __all__ = [
     "Word",
     "build_family",
     "code_basis",
-    "code_from_words",
     "concat",
     "distance_bruteforce",
     "enumeration_cap",

@@ -122,12 +122,18 @@ class Code:
 
     Membership has two routes. `_has` bisects the sorted tuple. `_members`
     returns the frozenset of the patterns: it is built at most once, on
-    first need, and kept in `_bits`. A code built from words that may
-    repeat (`Code(words)`, `_from_bits`) deduplicates through that set and
-    keeps it; one built from words known to be distinct (`_from_distinct`)
-    builds none. The kernel scan bisects until its probes reach |C|/16,
-    about what building the set costs, and only then builds it (see
-    `invariants._kernel_scan`).
+    first need, and kept in `_bits`. The kernel scan bisects until its
+    probes reach |C|/16, about what building the set costs, and only then
+    builds it (see `invariants._kernel_scan`).
+
+    Each constructor has one contract:
+    - `Code(words)`, the public one, takes words that may repeat. It
+      deduplicates them through the set and keeps it.
+    - `_from_bits` does the same for packed patterns; `parse_code_file`,
+      whose lines may repeat, is its one caller.
+    - `_from_distinct` takes a list of patterns known to be distinct and
+      builds no set: the families, the oracles, spans, kernels, translates
+      and the construction build through it.
 
     `_rref`, `_kernel` and `_d` cache the code's analyses: its RREF rows as
     packed ints, the kernel of a nonlinear code and the minimum distance.
@@ -225,11 +231,6 @@ class Code:
 
     def __repr__(self) -> str:
         return f"Code(n={self.n}, M={len(self)})"
-
-
-def code_from_words(words: Iterable[Word]) -> Code:
-    """Deduplicate a non-empty list of equal-length words into a Code."""
-    return Code(words)
 
 
 def translate(code: Code, x: Word) -> Code:

@@ -43,24 +43,24 @@ def _draw_bits(stream: Iterator[int], n: int) -> int:
 def repetition(n: int) -> Code:
     """{0^n, 1^n}: the [n, 1, n] repetition code."""
     core._check_length(n)
-    return Code._from_bits(n, (0, (1 << n) - 1))
+    return Code._from_distinct(n, [0, (1 << n) - 1])
 
 
 def universe(n: int) -> Code:
     """All 2^n words: the [n, n, 1] full space."""
     core._check_length(n)
     check_enumeration(1 << n, f"universe({n})")
-    return Code._from_bits(n, range(1 << n))
+    return Code._from_distinct(n, list(range(1 << n)))
 
 
 def parity(n: int) -> Code:
     """Even-weight words: the [n, n-1, 2] code; {0} for n = 1."""
     core._check_length(n)
     if n == 1:
-        return Code._from_bits(1, (0,))
+        return Code._from_distinct(1, [0])
     check_enumeration(1 << (n - 1), f"parity({n})")
-    return Code._from_bits(
-        n, ((p << 1) | (p.bit_count() & 1) for p in range(1 << (n - 1)))
+    return Code._from_distinct(
+        n, [(p << 1) | (p.bit_count() & 1) for p in range(1 << (n - 1))]
     )
 
 
@@ -133,7 +133,7 @@ def random_code(n: int, M: int, seed: int, include_zero: bool = False) -> Code:
             if v == 0 and not include_zero:
                 continue
             chosen.add(v)
-    return Code._from_bits(n, chosen)
+    return Code._from_distinct(n, list(chosen))
 
 
 def build_family(kind: str, args: tuple[str, ...]) -> Code:

@@ -64,10 +64,12 @@ class Gf2Basis:
             pivots.append(self.n - w.bits.bit_length())
         if pivots != sorted(set(pivots)):
             raise ValueError("pivot columns must be strictly increasing")
-        for i, w in enumerate(self.rows):
-            for j, p in enumerate(pivots):
-                if i != j and (w.bits >> (self.n - 1 - p)) & 1:
-                    raise ValueError("basis not reduced: pivot column reused")
+        # The pivots are distinct, so a row is reduced iff the only pivot
+        # bit it holds is its own top bit.
+        mask = sum(1 << (self.n - 1 - p) for p in pivots)
+        for w in self.rows:
+            if w.bits & mask != 1 << (w.bits.bit_length() - 1):
+                raise ValueError("basis not reduced: pivot column reused")
 
     @property
     def dim(self) -> int:

@@ -38,7 +38,7 @@ def kernel_bruteforce(code: Code) -> Code:
     for x in range(1 << code.n):
         if all((c ^ x) in members for c in patterns):
             kept.append(x)
-    return Code._from_bits(code.n, kept)
+    return Code._from_distinct(code.n, kept)
 
 
 def distance_bruteforce(code: Code) -> int:
@@ -69,4 +69,4 @@ def span_bruteforce(code: Code) -> Code:
             check_enumeration(len(closed) + len(new), "span closure")
         closed |= new
         frontier = new
-    return Code._from_bits(code.n, closed)
+    return Code._from_distinct(code.n, list(closed))

@@ -1,11 +1,19 @@
-"""Hypothesis strategies, fixed codes, and the call and probe recorders
-shared by the tests."""
+"""Word and code builders, hypothesis strategies, fixed codes, and the call
+and probe recorders shared by the tests."""
 
 from typing import Any, NamedTuple
 
 from hypothesis import strategies as st
 
-from plotkit.core import Code
+from plotkit.core import Code, Word
+
+
+def w(s):
+    return Word.from_string(s)
+
+
+def code(*strings):
+    return Code([w(s) for s in strings])
 
 
 class Call(NamedTuple):

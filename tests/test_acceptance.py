@@ -10,11 +10,12 @@ from dataclasses import replace
 from math import comb
 
 import pytest
+from strategies import code, w
 
 import plotkit.cli as cli
 from plotkit.cli import cli_main
 from plotkit.codefile import format_code_file, parse_code_file
-from plotkit.core import Word, code_from_words
+from plotkit.core import Word
 from plotkit.families import (
     _splitmix64,
     parity,
@@ -31,14 +32,6 @@ from plotkit.plotkin import (
     span_direct,
     verify_plotkin,
 )
-
-
-def w(s):
-    return Word.from_string(s)
-
-
-def code(*strings):
-    return code_from_words([w(s) for s in strings])
 
 
 def report_line(name, ok, detail=""):

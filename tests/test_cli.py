@@ -6,23 +6,16 @@ import time
 from dataclasses import asdict, fields, replace
 
 import pytest
+from strategies import code, w
 
 import plotkit
 import plotkit.cli as cli
 import plotkit.core as core
 from plotkit.cli import cli_main
 from plotkit.codefile import format_code_file, parse_code_file
-from plotkit.core import Code, Word, code_from_words
+from plotkit.core import Code, Word
 from plotkit.families import random_code, universe
 from plotkit.plotkin import CHECKS, PlotkinReport, _verify, verify_plotkin
-
-
-def w(s):
-    return Word.from_string(s)
-
-
-def code(*strings):
-    return code_from_words([w(s) for s in strings])
 
 
 @pytest.fixture
@@ -84,7 +77,7 @@ class TestConstructionCommands:
         )
 
     def test_plotkin_of_zero_singletons(self, files, tmp_path):
-        path = files("z.code", code_from_words([Word.zero(3)]))
+        path = files("z.code", Code([Word.zero(3)]))
         out = tmp_path / "zz.code"
         assert cli_main(["plotkin", path, path, "-o", str(out)]) == 0
         assert out.read_text() == "# code n=6 M=1\n000000\n"

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from strategies import code, w
 
 from plotkit.codefile import (
     ParseError,
@@ -14,18 +15,10 @@ from plotkit.codefile import (
     parse_code_file,
     parse_gen_file,
 )
-from plotkit.core import MAX_LENGTH, Code, Word, code_from_words
+from plotkit.core import MAX_LENGTH, Code, Word
 from plotkit.families import parity, random_code, reed_muller, universe
 from plotkit.gf2 import Gf2Basis, code_basis, rref, span_enumerate
 from plotkit.plotkin import plotkin_construct
-
-
-def w(s):
-    return Word.from_string(s)
-
-
-def code(*strings):
-    return code_from_words([w(s) for s in strings])
 
 
 class TestParseCodeFile:
@@ -80,7 +73,7 @@ def written_codes(draw):
         if bits in seen:
             repeats.append((len(lines), bits))
         seen.add(bits)
-    return code_from_words([Word(n, b) for b in words]), lines, repeats
+    return Code([Word(n, b) for b in words]), lines, repeats
 
 
 class TestOnePassReading:
@@ -155,8 +148,8 @@ def reference_read(text):
     for row in rows:
         space |= {x ^ int(row, 2) for x in space}
     return (
-        code_from_words(Word.from_string(row) for row in rows),
-        code_from_words(Word(n, x) for x in space),
+        Code(Word.from_string(row) for row in rows),
+        Code(Word(n, x) for x in space),
         messages,
     )
 
@@ -295,7 +288,7 @@ class TestParseGenFile:
         assert parse_gen_file("11\n01\n") == code("00", "01", "10", "11")
 
     def test_zero_rows_allowed(self):
-        assert parse_gen_file("0000\n") == code_from_words([Word.zero(4)])
+        assert parse_gen_file("0000\n") == Code([Word.zero(4)])
 
     def test_dimension_cap(self, monkeypatch):
         monkeypatch.setenv("PLOTKIN_MAX_ENUM", "4")
@@ -313,7 +306,7 @@ class TestCanonicalOutput:
             parity(5),
             reed_muller(1, 3),
             universe(3),
-            code_from_words([Word.zero(6)]),
+            Code([Word.zero(6)]),
         ]
         corpus += [
             random_code(6, 1 + s % 20, seed=s, include_zero=s % 2 == 0)
@@ -329,4 +322,4 @@ class TestCanonicalOutput:
     def test_zero_dimensional_basis_file(self):
         text = format_basis_file(Gf2Basis(3, ()))
         assert "dim=0" in text
-        assert parse_gen_file(text) == code_from_words([Word.zero(3)])
+        assert parse_gen_file(text) == Code([Word.zero(3)])

@@ -3,29 +3,22 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from strategies import code, w
 
 from plotkit.core import (
     MAX_LENGTH,
     Code,
     Word,
-    code_from_words,
     concat,
     hamming_distance,
     translate,
     word_xor,
 )
-from plotkit.families import random_code
+from plotkit.families import parity, random_code, repetition, universe
 from plotkit.gf2 import rref, span_enumerate
 from plotkit.invariants import kernel
+from plotkit.oracle import kernel_bruteforce, span_bruteforce
 from plotkit.plotkin import plotkin_construct
-
-
-def w(s):
-    return Word.from_string(s)
-
-
-def code(*strings):
-    return code_from_words([w(s) for s in strings])
 
 
 @st.composite
@@ -159,17 +152,17 @@ class TestCode:
         assert code("11", "00", "11").bit_patterns == (0, 3)
 
     def test_singleton(self):
-        c = code_from_words([Word.zero(4)])
+        c = Code([Word.zero(4)])
         assert len(c) == 1
         assert c.contains_zero()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            code_from_words([])
+            Code([])
 
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):
-            code_from_words([w("00"), w("000")])
+            Code([w("00"), w("000")])
 
     def test_membership_and_iteration_order(self):
         c = code("10", "01", "11")
@@ -195,11 +188,11 @@ class TestCode:
         monkeypatch.setattr(core_module, "MAX_LENGTH", 8)
         with pytest.raises(ValueError):
             Code._from_bits(9, [0])
-        assert Code._from_bits(8, [0]) == code_from_words([Word.zero(8)])
+        assert Code._from_bits(8, [0]) == Code([Word.zero(8)])
 
     def test_same_patterns_different_length_differ(self):
-        a = code_from_words([Word.zero(2)])
-        b = code_from_words([Word.zero(3)])
+        a = Code([Word.zero(2)])
+        b = Code([Word.zero(3)])
         assert a != b
 
 
@@ -208,7 +201,7 @@ class TestLazyMembers:
 
     @given(equal_length_words(count=24, max_length=10))
     def test_a_code_of_distinct_words_matches_a_deduplicated_one(self, words):
-        n, eager = words[0].length, code_from_words(words)
+        n, eager = words[0].length, Code(words)
         lazy = Code._from_distinct(n, list({w.bits for w in words}))
         assert len(lazy) == len(eager)
         assert lazy == eager and hash(lazy) == hash(eager)
@@ -224,12 +217,19 @@ class TestLazyMembers:
 
     def test_distinct_word_callers_build_no_set(self):
         a, b = (random_code(6, 20, s, include_zero=True) for s in (1, 2))
-        assert a._bits is not None  # random_code deduplicates its draws
+        # random_code keeps its draws distinct as it draws them, so the code
+        # need not deduplicate them again
+        assert a._bits is None
         built = (
             plotkin_construct(a, b),
             translate(a, Word(6, 5)),
             span_enumerate(rref(a.words)),
             kernel(plotkin_construct(a, b)),
+            repetition(6),
+            universe(6),
+            parity(6),
+            kernel_bruteforce(a),
+            span_bruteforce(a),
         )
         for c in built:
             assert c._bits is None
@@ -257,7 +257,7 @@ class TestTranslate:
     def test_involution_and_cardinality(self, data):
         words = data.draw(equal_length_words(count=5, max_length=12))
         x = data.draw(st.integers(0, (1 << words[0].length) - 1))
-        c = code_from_words(words)
+        c = Code(words)
         x_word = Word(words[0].length, x)
         shifted = translate(c, x_word)
         assert len(shifted) == len(c)

@@ -1,8 +1,9 @@
 """Family generators: classical codes, the recursive family, seeded randomness."""
 
 import pytest
+from strategies import w
 
-from plotkit.core import Word, code_from_words
+from plotkit.core import Code, Word
 from plotkit.families import (
     build_family,
     from_generator,
@@ -15,29 +16,25 @@ from plotkit.families import (
 from plotkit.invariants import is_linear, min_distance, rank, summarize
 
 
-def w(s):
-    return Word.from_string(s)
-
-
 class TestClassicalFamilies:
     def test_repetition(self):
-        assert repetition(2) == code_from_words([w("00"), w("11")])
+        assert repetition(2) == Code([w("00"), w("11")])
         s = summarize(repetition(5))
         assert (s.n, s.rank, s.d, s.is_linear) == (5, 1, 5, True)
 
     def test_universe(self):
-        assert universe(2) == code_from_words([w("00"), w("01"), w("10"), w("11")])
+        assert universe(2) == Code([w("00"), w("01"), w("10"), w("11")])
         s = summarize(universe(4))
         assert (s.n, s.rank, s.d, s.is_linear) == (4, 4, 1, True)
 
     def test_parity(self):
-        assert parity(3) == code_from_words([w("000"), w("011"), w("101"), w("110")])
+        assert parity(3) == Code([w("000"), w("011"), w("101"), w("110")])
         s = summarize(parity(3))
         assert (s.n, s.rank, s.d, s.is_linear) == (3, 2, 2, True)
         assert all(word.weight() % 2 == 0 for word in parity(6))
 
     def test_parity_of_one_bit_is_trivial(self):
-        assert parity(1) == code_from_words([Word.zero(1)])
+        assert parity(1) == Code([Word.zero(1)])
 
     def test_bad_lengths(self):
         for family in (repetition, universe, parity):
@@ -53,7 +50,7 @@ class TestReedMuller:
         assert (s.n, s.rank, s.d, s.is_linear) == (4, 3, 2, True)
 
     def test_order_zero_is_repetition(self):
-        assert reed_muller(0, 3) == code_from_words([Word.zero(8), Word.ones(8)])
+        assert reed_muller(0, 3) == Code([Word.zero(8), Word.ones(8)])
 
     def test_first_order_length_eight(self):
         s = summarize(reed_muller(1, 3))
@@ -98,9 +95,7 @@ class TestRandomCode:
             assert random_code(4, 16, seed=seed, include_zero=True) == universe(4)
 
     def test_single_word_with_zero(self):
-        assert random_code(5, 1, seed=9, include_zero=True) == code_from_words(
-            [Word.zero(5)]
-        )
+        assert random_code(5, 1, seed=9, include_zero=True) == Code([Word.zero(5)])
 
     def test_dense_without_zero(self):
         c = random_code(4, 15, seed=3, include_zero=False)

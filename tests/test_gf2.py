@@ -1,14 +1,15 @@
 """Row reduction and span machinery: canonical form, membership, enumeration."""
 
+import time
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import coset_unions
+from strategies import coset_unions, w
 
 import plotkit.gf2 as gf2
-from plotkit.core import Code, Word, code_from_words, word_xor
+from plotkit.core import Code, Word, word_xor
 from plotkit.families import _splitmix64, from_generator, reed_muller
 from plotkit.gf2 import (
     Gf2Basis,
@@ -21,10 +22,6 @@ from plotkit.gf2 import (
     rref,
     span_enumerate,
 )
-
-
-def w(s):
-    return Word.from_string(s)
 
 
 def brute_span(words):
@@ -308,7 +305,7 @@ class TestCodeRows:
 class TestCodeBasis:
     def test_matches_rref_of_words(self):
         for seed in range(10):
-            c = code_from_words(random_words(seed + 300, count=9, n=7))
+            c = Code(random_words(seed + 300, count=9, n=7))
             assert code_basis(c) == rref(c.words)
 
 
@@ -328,6 +325,15 @@ class TestBasisValidation:
     def test_row_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Gf2Basis(3, (w("10"),))
+
+    def test_a_basis_of_4096_rows_is_checked_in_linear_time(self):
+        # the 4,096 unit rows of length 4,096, pivots in order, checked
+        # within test_refusals' budget: a pair-by-pair check takes seconds
+        rows = tuple(Word(4096, 1 << (4095 - i)) for i in range(4096))
+        start = time.perf_counter()
+        basis = Gf2Basis(4096, rows)
+        assert time.perf_counter() - start < 0.5
+        assert basis.dim == 4096
 
 
 class TestInSpan:
@@ -374,10 +380,10 @@ class TestSpanList:
 class TestSpanEnumerate:
     def test_zero_dimensional(self):
         c = span_enumerate(Gf2Basis(3, ()))
-        assert c == code_from_words([Word.zero(3)])
+        assert c == Code([Word.zero(3)])
 
     def test_one_generator(self):
-        assert span_enumerate(rref([w("11")])) == code_from_words([w("00"), w("11")])
+        assert span_enumerate(rref([w("11")])) == Code([w("00"), w("11")])
 
     def test_two_generators(self):
         c = span_enumerate(rref([w("11"), w("01")]))

@@ -3,8 +3,9 @@
 from itertools import combinations
 
 import pytest
+from strategies import code, w
 
-from plotkit.core import Word, code_from_words, translate
+from plotkit.core import Code, Word, translate
 from plotkit.families import _splitmix64, parity, random_code, repetition
 from plotkit.gf2 import rref, span_enumerate
 import plotkit.invariants as invariants
@@ -18,14 +19,6 @@ from plotkit.invariants import (
     rank,
     summarize,
 )
-
-
-def w(s):
-    return Word.from_string(s)
-
-
-def code(*strings):
-    return code_from_words([w(s) for s in strings])
 
 
 def pairwise_min(c):
@@ -42,7 +35,7 @@ def kernel_fullscan(c):
         for x in range(1 << c.n)
         if translate(c, Word(c.n, x)) == c
     ]
-    return code_from_words([Word(c.n, x) for x in kept])
+    return Code([Word(c.n, x) for x in kept])
 
 
 class TestMinDistance:
@@ -77,7 +70,7 @@ class TestMinDistance:
 
 class TestRank:
     def test_zero_code(self):
-        assert rank(code_from_words([Word.zero(5)])) == 0
+        assert rank(Code([Word.zero(5)])) == 0
 
     def test_spanning_triple(self):
         assert rank(code("00", "01", "10")) == 2
@@ -156,7 +149,7 @@ class TestIsLinear:
     def test_examples(self):
         assert is_linear(code("00", "11"))
         assert not is_linear(code("00", "01", "10"))
-        assert is_linear(code_from_words([Word.zero(3)]))
+        assert is_linear(Code([Word.zero(3)]))
         assert not is_linear(code("0110"))
 
 
@@ -172,7 +165,7 @@ class TestSummarize:
         )
 
     def test_degenerate_zero_code(self):
-        assert summarize(code_from_words([Word.zero(3)])) == CodeSummary(
+        assert summarize(Code([Word.zero(3)])) == CodeSummary(
             n=3, M=1, d=None, rank=0, ker_dim=0, is_linear=True
         )
 

@@ -3,8 +3,9 @@
 import tracemalloc
 
 import pytest
+from strategies import code, w
 
-from plotkit.core import Word, code_from_words
+from plotkit.core import Code, Word
 from plotkit.families import _splitmix64, random_code
 from plotkit.gf2 import rref, span_enumerate
 from plotkit.invariants import kernel, min_distance, rank
@@ -15,14 +16,6 @@ from plotkit.oracle import (
     span_bruteforce,
 )
 from plotkit.plotkin import plotkin_construct
-
-
-def w(s):
-    return Word.from_string(s)
-
-
-def code(*strings):
-    return code_from_words([w(s) for s in strings])
 
 
 def seeded_codes(base_seed, count, max_n=8, size_cap=14):
@@ -44,7 +37,7 @@ class TestKernelBruteforce:
         assert kernel_bruteforce(code("00", "01", "10")) == code("00")
 
     def test_width_cap(self):
-        c = code_from_words([Word.zero(17)])
+        c = Code([Word.zero(17)])
         with pytest.raises(ValueError, match="16"):
             kernel_bruteforce(c)
 

@@ -6,10 +6,10 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import coset_unions
+from strategies import code, coset_unions, w
 
 import plotkit.plotkin as plotkin
-from plotkit.core import MAX_LENGTH, Code, Word, code_from_words, translate
+from plotkit.core import MAX_LENGTH, Code, Word, translate
 from plotkit.families import _splitmix64, random_code, reed_muller, repetition, universe
 from plotkit.gf2 import Gf2Basis, _code_rows, code_basis, rref, span_enumerate
 from plotkit.invariants import is_linear, kernel, min_distance, rank, summarize
@@ -22,14 +22,6 @@ from plotkit.plotkin import (
     span_direct,
     verify_plotkin,
 )
-
-
-def w(s):
-    return Word.from_string(s)
-
-
-def code(*strings):
-    return code_from_words([w(s) for s in strings])
 
 
 def halves(word):
@@ -61,10 +53,8 @@ class TestConstruct:
         assert len(c) == 6
 
     def test_zero_singletons(self):
-        c = plotkin_construct(
-            code_from_words([Word.zero(3)]), code_from_words([Word.zero(3)])
-        )
-        assert c == code_from_words([Word.zero(6)])
+        c = plotkin_construct(Code([Word.zero(3)]), Code([Word.zero(3)]))
+        assert c == Code([Word.zero(6)])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -110,10 +100,8 @@ class TestKernelDirect:
         assert built == kernel(plotkin_construct(c1, c2))
 
     def test_zero_singletons(self):
-        zero = code_from_words([Word.zero(2)])
-        assert plotkin_construct(kernel(zero), kernel(zero)) == code_from_words(
-            [Word.zero(4)]
-        )
+        zero = Code([Word.zero(2)])
+        assert plotkin_construct(kernel(zero), kernel(zero)) == Code([Word.zero(4)])
 
     def test_full_kernels_give_full_kernel(self):
         u = universe(2)
@@ -162,7 +150,7 @@ class TestPredictParams:
         assert predict_params(s, s).distance == min(2 * 4, 4)
 
     def test_distance_absent_propagates(self):
-        s1 = summarize(code_from_words([Word.zero(2)]))
+        s1 = summarize(Code([Word.zero(2)]))
         s2 = summarize(universe(2))
         assert predict_params(s1, s2).distance is None
         assert predict_params(s2, s1).distance is None
@@ -252,7 +240,7 @@ class TestVerify:
             assert not failing.all_checks_hold and not failing.ok
 
     def test_degenerate_zero_pair(self):
-        zero = code_from_words([Word.zero(4)])
+        zero = Code([Word.zero(4)])
         report = verify_plotkin(zero, zero)
         assert report.all_checks_hold
         assert report.observed.distance is None
