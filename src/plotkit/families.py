@@ -12,6 +12,7 @@ from .plotkin import plotkin_construct
 KINDS = ("repetition", "universe", "parity", "reed_muller", "from_generator", "random")
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 def _splitmix64(seed: int) -> Iterator[int]:
@@ -22,11 +23,13 @@ def _splitmix64(seed: int) -> Iterator[int]:
     z = (z ^ z>>27) * 0x94D049BB133111EB; output z ^ z>>31
 
     Small, stateless apart from the counter, and identical on every run
-    for the same seed, which is all the corpus machinery needs.
+    for the same seed, which is all the corpus machinery needs. After k
+    draws the state is seed + k*gamma mod 2^64, so `_splitmix64(seed +
+    k * _GAMMA)` yields the same draws as this stream from its k-th on.
     """
     state = seed & _MASK64
     while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        state = (state + _GAMMA) & _MASK64
         z = state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import asdict, fields, replace
 
@@ -14,7 +15,7 @@ import plotkit.core as core
 from plotkit.cli import cli_main
 from plotkit.codefile import format_code_file, parse_code_file
 from plotkit.core import Code, Word
-from plotkit.families import random_code, universe
+from plotkit.families import _splitmix64, random_code, universe
 from plotkit.plotkin import CHECKS, PlotkinReport, _verify, verify_plotkin
 
 
@@ -304,6 +305,19 @@ class TestFamily:
         assert not out.exists()
 
 
+def _corpus_shapes(seed: int, pairs: int, max_n: int) -> list[tuple[int, int, int]]:
+    """(n, |C1|, |C2|) of each pair `corpus --seed` draws."""
+    stream = _splitmix64(seed)
+    shapes = []
+    for _ in range(pairs):
+        n = 2 + next(stream) % (max_n - 1)
+        bound = min(1 << n, 32)
+        m1, m2 = 1 + next(stream) % bound, 1 + next(stream) % bound
+        next(stream), next(stream)  # the seeds of the two random codes
+        shapes.append((n, m1, m2))
+    return shapes
+
+
 class TestCorpus:
     def test_table_and_exit_zero(self, capsys):
         assert cli_main(["corpus", "--pairs", "4", "--seed", "9", "--max-n", "5"]) == 0
@@ -363,6 +377,137 @@ class TestCorpus:
         assert cli_main(argv) == 2
         assert "--max-n must be at most 4, got 9" in capsys.readouterr().err
 
+    # Forked chunks. Three CPUs split PAIRS into pairs 1..50, 51..100 and
+    # 101..151: this process runs the first chunk and two children the
+    # others. Each run is compared with a one-CPU run, and no child may be
+    # left behind.
+    PAIRS = 3 * cli._CORPUS_CHUNK + 1
+
+    @pytest.fixture
+    def run(self, monkeypatch, capsys):
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(1)  # counted in this process only
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+
+        def run(cpus: int, *argv: str, children: int | None = None):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            del forks[:]
+            try:
+                rc = cli_main(["corpus", "--pairs", str(self.PAIRS), *argv])
+            finally:
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(-1, os.WNOHANG)
+            assert len(forks) == (cpus - 1 if children is None else children)
+            return (rc, *capsys.readouterr())
+
+        return run
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_output_is_byte_identical(self, run, json_flag):
+        argv = ["--seed", "5", "--max-n", "12", *json_flag]
+        one = run(1, *argv)
+        assert one[0] == 0 and len(one[1].splitlines()) == self.PAIRS + 2 * (not json_flag)
+        assert run(3, *argv) == one
+
+    def test_long_runs_go_in_rounds(self, run, monkeypatch):
+        # Chunks of 20 to 30 pairs on two CPUs: rounds 1..60 and 61..120
+        # in two chunks each, then 121..151 in one.
+        monkeypatch.setattr(cli, "_CORPUS_CHUNK", 20)
+        monkeypatch.setattr(cli, "_CORPUS_MAX_CHUNK", 30)
+        argv = ["--seed", "5", "--max-n", "12"]
+        assert run(2, *argv, children=2) == run(1, *argv)
+
+    def test_a_failing_pair_in_a_child_is_counted(self, run, record, monkeypatch):
+        argv = ["--seed", "5", "--max-n", "12"]
+        calls = record(cli, "verify_plotkin")
+        assert run(1, *argv)[0] == 0
+        target = calls[130].args
+        # Patched by content, so the pair fails in whichever process runs it.
+        monkeypatch.setattr(cli, "verify_plotkin", lambda c1, c2: replace(
+            verify_plotkin(c1, c2), params_hold=(c1, c2) != target))
+        one = run(1, *argv)
+        assert one[0] == 1
+        assert f"corpus: {self.PAIRS - 1}/{self.PAIRS} pairs ok (seed=5)" in one[1]
+        assert run(3, *argv) == one
+
+    def test_a_cap_refusal_in_a_child_is_the_same_error(self, run, monkeypatch):
+        # The construction is the corpus's largest materialization, so the
+        # cap is first passed by the first pair with |C1||C2| over it.
+        shapes = _corpus_shapes(14, self.PAIRS, 8)
+        last_chunk = 2 * cli._CORPUS_CHUNK  # pairs before the second child's chunk
+        cap = max(m1 * m2 for _, m1, m2 in shapes[:last_chunk])
+        refused = next(i for i, (_, m1, m2) in enumerate(shapes, 1) if m1 * m2 > cap)
+        assert refused > last_chunk
+        monkeypatch.setenv("PLOTKIN_MAX_ENUM", str(cap))
+        argv = ["--seed", "14", "--max-n", "8"]
+        one = run(1, *argv)
+        assert one[0] == 2
+        assert len(one[1].splitlines()) == refused  # the header, then pairs before it
+        assert one[2].startswith("error: (u|u+v) of ") and one[2].count("\n") == 1
+        assert run(3, *argv) == one
+
+    @pytest.mark.parametrize("index", [10, 130])
+    def test_another_exception_reaches_the_caller(self, run, record, capsys,
+                                                  monkeypatch, index):
+        # Pair 11 is in this process's chunk, so the children are stopped
+        # while they run; pair 131 is in the second child's.
+        argv = ["--seed", "5", "--max-n", "12", "--json"]
+        calls = record(cli, "verify_plotkin")
+        assert run(1, *argv)[0] == 0
+        target = calls[index].args
+
+        def verify(c1, c2):
+            if (c1, c2) == target:
+                raise RuntimeError("injected")
+            return verify_plotkin(c1, c2)
+
+        monkeypatch.setattr(cli, "verify_plotkin", verify)
+        outs = []
+        for cpus in (1, 3):
+            with pytest.raises(RuntimeError, match="injected"):
+                run(cpus, *argv)
+            outs.append(capsys.readouterr())
+        assert len(outs[0].out.splitlines()) == index
+        assert outs[1] == outs[0]
+
+
+    def test_running_children_are_stopped_not_waited_for(self, run, record, monkeypatch):
+        argv = ["--seed", "5", "--max-n", "12", "--json"]
+        calls = record(cli, "verify_plotkin")
+        assert run(1, *argv)[0] == 0
+        raising, slow = calls[10].args, calls[130].args
+
+        def verify(c1, c2):
+            if (c1, c2) == raising:
+                raise RuntimeError("injected")
+            if (c1, c2) == slow:
+                time.sleep(30)
+            return verify_plotkin(c1, c2)
+
+        monkeypatch.setattr(cli, "verify_plotkin", verify)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="injected"):
+            run(3, *argv)
+        assert time.perf_counter() - start < 10
+
+    def test_a_child_that_dies_is_an_error(self, run, record, monkeypatch):
+        argv = ["--seed", "5", "--max-n", "12"]
+        calls = record(cli, "verify_plotkin")
+        assert run(1, *argv)[0] == 0
+        target, parent = calls[130].args, os.getpid()
+
+        def verify(c1, c2):
+            if (c1, c2) == target and os.getpid() != parent:
+                os._exit(3)  # as a child killed by the system would, sending nothing
+            return verify_plotkin(c1, c2)
+
+        monkeypatch.setattr(cli, "verify_plotkin", verify)
+        with pytest.raises(RuntimeError, match="exited without sending its result"):
+            run(3, *argv)
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):

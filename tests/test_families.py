@@ -1,10 +1,14 @@
 """Family generators: classical codes, the recursive family, seeded randomness."""
 
+from itertools import islice
+
 import pytest
 from strategies import w
 
 from plotkit.core import Code, Word
 from plotkit.families import (
+    _GAMMA,
+    _splitmix64,
     build_family,
     from_generator,
     parity,
@@ -111,6 +115,16 @@ class TestRandomCode:
             random_code(3, 8, seed=1, include_zero=False)
         with pytest.raises(ValueError):
             random_code(0, 1, seed=1)
+
+
+class TestSplitMix64:
+    @pytest.mark.parametrize("seed", [0, 7, -3, (1 << 64) - 2, (1 << 64) - 1])
+    @pytest.mark.parametrize("k", [1, 5, 1000])
+    def test_jump_ahead(self, seed, k):
+        # The state after k draws is seed + k*gamma mod 2^64, so a stream
+        # seeded there goes on where the first one is after k draws.
+        ahead = list(islice(_splitmix64(seed + k * _GAMMA), 10))
+        assert list(islice(_splitmix64(seed), k, k + 10)) == ahead
 
 
 class TestFamilySpec:
