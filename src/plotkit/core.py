@@ -5,6 +5,8 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import groupby, islice
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 # Guard against accidental huge allocations; rebind if you really need more.
@@ -34,6 +36,11 @@ def _little_endian(n: int, words: Sequence[int]) -> bytes:
     if size == 8:
         return struct.pack(f"<{len(words)}Q", *words)
     return b"".join([w.to_bytes(size, "little") for w in words])
+
+
+def _ascending(patterns: Sequence[int]) -> bool:
+    """Whether the patterns are strictly ascending, hence distinct."""
+    return all(map(lt, patterns, islice(patterns, 1, None)))
 
 
 @dataclass(frozen=True, order=True, repr=False)
@@ -121,19 +128,24 @@ class Code:
     in ascending bit patterns, i.e. lexicographic in the printed form.
 
     Membership has two routes. `_has` bisects the sorted tuple. `_members`
-    returns the frozenset of the patterns: it is built at most once, on
-    first need, and kept in `_bits`. The kernel scan bisects until its
-    probes reach |C|/16, about what building the set costs, and only then
-    builds it (see `invariants._kernel_scan`).
+    returns the frozenset of the patterns, and is the one place that
+    builds it: at most once, on first need, kept in `_bits`. The kernel
+    scan bisects until its probes reach |C|/16, about what building the
+    set costs, and only then builds it (see `invariants._kernel_scan`).
 
-    Each constructor has one contract:
-    - `Code(words)`, the public one, takes words that may repeat. It
-      deduplicates them through the set and keeps it.
+    Each constructor has one contract, and none builds the member set:
+    - `Code(words)`, the public one, takes words in any order, which may
+      repeat.
     - `_from_bits` does the same for packed patterns; `parse_code_file`,
       whose lines may repeat, is its one caller.
+    - Both first check in one comparison pass whether the patterns are
+      strictly ascending, as every file plotkit writes is, and keep them
+      as they are if so: no sort, no set and no copy of a tuple. Otherwise
+      they sort them and check again, and drop repeats only when that
+      check fails too.
     - `_from_distinct` takes a list of patterns known to be distinct and
-      builds no set: the families, the oracles, spans, kernels, translates
-      and the construction build through it.
+      sorts it in place: the families, the oracles, spans, kernels,
+      translates and the construction build through it.
 
     `_rref`, `_kernel` and `_d` cache the code's analyses: its RREF rows as
     packed ints, the kernel of a nonlinear code and the minimum distance.
@@ -162,28 +174,27 @@ class Code:
 
     @classmethod
     def _from_distinct(cls, n: int, bits: list[int]) -> Code:
-        """_from_bits for a list of distinct patterns: sorted in place, no set built."""
+        """_from_bits for a list of distinct patterns, sorted in place."""
         _check_length(n)
         bits.sort()
         self = object.__new__(cls)
-        self._fill(n, bits, None)
+        self._fill(n, bits)
         return self
 
     def _init(self, n: int, bits: Iterable[int]) -> None:
-        patterns = sorted(bits)  # a list, not a set in hash order
-        members = frozenset(patterns)
-        if len(patterns) > len(members):
-            patterns = sorted(members)
-        self._fill(n, patterns, members)
+        patterns = tuple(bits)  # a tuple is kept as it is, not copied
+        if not _ascending(patterns):
+            patterns = sorted(patterns)
+            if not _ascending(patterns):
+                patterns = [p for p, _ in groupby(patterns)]
+        self._fill(n, patterns)
 
-    def _fill(
-        self, n: int, patterns: list[int], members: frozenset[int] | None
-    ) -> None:
+    def _fill(self, n: int, patterns: Sequence[int]) -> None:
         if not patterns:
             raise ValueError("a code needs at least one word")
         self.n = n
         self._patterns = tuple(patterns)
-        self._bits = members
+        self._bits: frozenset[int] | None = None
         self._rref: tuple[int, ...] | None = None
         self._kernel: Code | None = None
         self._d: int | None = None

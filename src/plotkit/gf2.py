@@ -173,15 +173,29 @@ def _reduce_bits(patterns: Iterable[int], n: int) -> list[int]:
     while len(pivots) < n and (first := next(rest, None)) is not None:
         _eliminate([first, *islice(rest, size - 1)], n, pivots)
         size = min(2 * size, _BATCH_ROWS)
-    rows: list[int] = []
+    return _back_substitute(pivots)
+
+
+def _back_substitute(pivots: dict[int, int]) -> list[int]:
+    """The RREF rows, by decreasing value, of echelon rows keyed by top bit.
+
+    The rows are reduced from the lowest pivot up. A reduced row holds no
+    pivot bit but its own, so xoring it into v changes no other pivot bit
+    of v: v needs exactly the rows whose pivots are set in v & mask, one
+    xor each, and no test against the other rows.
+    """
+    reduced: dict[int, int] = {}
+    mask = 0
     for top in sorted(pivots):
         v = pivots[top]
-        for r in rows:
-            if (v >> (r.bit_length() - 1)) & 1:
-                v ^= r
-        rows.append(v)
-    rows.reverse()
-    return rows
+        m = v & mask
+        while m:
+            t = m.bit_length() - 1
+            v ^= reduced[t]
+            m ^= 1 << t
+        reduced[top] = v
+        mask |= 1 << top
+    return list(reversed(reduced.values()))
 
 
 def rref(words: Iterable[Word], n: int | None = None) -> Gf2Basis:

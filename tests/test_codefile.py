@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from strategies import code, w
 
+from plotkit import codefile
 from plotkit.codefile import (
     ParseError,
     format_basis_file,
@@ -115,6 +116,51 @@ class TestOnePassReading:
         assert messages == [
             f"duplicate codeword {bits:0{n}b} at line {line}" for line, bits in repeats
         ]
+
+
+class TestAscendingPass:
+    """A file in ascending order is read with one comparison pass; any
+    other is sorted, and repeats are dropped only if the sorted words
+    still are not strictly ascending."""
+
+    def test_a_written_file_is_read_with_no_set_and_no_copy(self, record):
+        unpacked = record(codefile, "_unpack")
+        written = reed_muller(2, 5)
+        parsed = parse_code_file(format_code_file(written))
+        assert parsed == written and parsed._bits is None
+        assert parsed.bit_patterns is unpacked[0].result
+
+    @pytest.mark.parametrize(
+        "text, words, messages",
+        [
+            pytest.param(
+                "# c\n110\n001\n111\n000\n", ["000", "001", "110", "111"], [],
+                id="unsorted",
+            ),
+            pytest.param(
+                "# c\n000\n011\n010\n100\n", ["000", "010", "011", "100"], [],
+                id="one-swapped-pair",
+            ),
+            pytest.param(
+                "000\n000\n011\n101\n101\n101\n110\n",
+                ["000", "011", "101", "110"],
+                [
+                    "duplicate codeword 000 at line 2",
+                    "duplicate codeword 101 at line 5",
+                    "duplicate codeword 101 at line 6",
+                ],
+                id="adjacent-repeats",
+            ),
+        ],
+    )
+    def test_other_orders_read_as_before(self, text, words, messages):
+        for newline in ("\n", "\r\n"):
+            parsed, caught = parse_recording(parse_code_file, text.replace("\n", newline))
+            assert parsed == code(*words) and parsed.bit_patterns == tuple(
+                int(word, 2) for word in words
+            )
+            assert caught == messages
+            assert parsed._bits is None
 
 
 def reference_read(text):

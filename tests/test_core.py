@@ -210,10 +210,37 @@ class TestLazyMembers:
         # every pattern of the length, and one past it: bisection finds
         # exactly the members, as the set does
         for x in range((1 << n) + 1):
-            assert lazy._has(x) == (x in eager._bits)
+            assert lazy._has(x) == (x in eager._members())
         assert lazy._bits is None
         assert all((Word(n, x) in lazy) == (Word(n, x) in eager) for x in range(1 << n))
         assert lazy._bits == eager._bits
+
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=30),
+                st.sampled_from([list, sorted, lambda ws: sorted(set(ws))]),
+            )
+        )
+    )
+    def test_every_constructor_gives_the_deduplicated_code_without_a_set(self, case):
+        # drawn in any order with repeats, sorted with repeats, or ascending
+        n, drawn, order = case
+        ws = order(drawn)
+        expected = Code._from_distinct(n, sorted(set(ws)))
+        t = tuple(ws)
+        from_tuple = Code._from_bits(n, t)
+        for c in (
+            Code._from_bits(n, ws),
+            from_tuple,
+            Code._from_bits(n, iter(ws)),
+            Code([Word(n, b) for b in ws]),
+        ):
+            assert c == expected and c.bit_patterns == expected.bit_patterns
+            assert c._bits is None
+        # an ascending tuple is kept as it is, not copied
+        assert (from_tuple.bit_patterns is t) == (t == expected.bit_patterns)
 
     def test_distinct_word_callers_build_no_set(self):
         a, b = (random_code(6, 20, s, include_zero=True) for s in (1, 2))

@@ -13,6 +13,7 @@ from plotkit.core import Code, Word, word_xor
 from plotkit.families import _splitmix64, from_generator, reed_muller
 from plotkit.gf2 import (
     Gf2Basis,
+    _back_substitute,
     _code_rows,
     _reduce_bits,
     _span,
@@ -248,6 +249,76 @@ class TestReduceBits:
         n = gf2._BULK_MAX_N + 1
         rows = [w.bits for w in random_words(11, count=5, n=n)] * 60
         assert _reduce_bits(rows, n) == reduce_bits_by_row_scan(rows)
+
+
+def back_substitute_by_row_test(pivots):
+    """The earlier back-substitution, kept as the reference for
+    _back_substitute: each row is tested against every row kept so far."""
+    rows = []
+    for top in sorted(pivots):
+        v = pivots[top]
+        for r in rows:
+            if (v >> (r.bit_length() - 1)) & 1:
+                v ^= r
+        rows.append(v)
+    rows.reverse()
+    return rows
+
+
+def echelon(rows):
+    """Rows keyed by distinct top bits, as the per-row loop of _reduce_bits
+    leaves them: each spans what the rows before it add."""
+    pivots = {}
+    for v in rows:
+        while v and (row := pivots.get(v.bit_length() - 1)) is not None:
+            v ^= row
+        if v:
+            pivots[v.bit_length() - 1] = v
+    return pivots
+
+
+class RowOps(int):
+    """An int that counts each shift, and and xor it takes part in."""
+
+    count = 0
+
+    def _counted(op):
+        def counted(self, other):
+            RowOps.count += 1
+            return op(self, other)
+
+        return counted
+
+    __rshift__ = _counted(int.__rshift__)
+    __and__ = __rand__ = _counted(int.__and__)
+    __xor__ = __rxor__ = _counted(int.__xor__)
+    del _counted
+
+
+class TestBackSubstitution:
+    @given(st.one_of(
+        rank_deficient_rows(),
+        st.integers(1, 80).flatmap(lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=3 * n)
+        )),
+    ))
+    def test_matches_the_row_by_row_test(self, case):
+        _, rows = case
+        pivots = echelon(rows)
+        assert _back_substitute(pivots) == back_substitute_by_row_test(pivots)
+
+    def test_unit_rows_take_one_step_each(self):
+        # 512 unit rows of length 512, each its own pivot: the row-by-row
+        # test shifts each row for every row kept before it, 130,816
+        # shifts, where the needed pivots of each row are none.
+        r = 512
+        rows = [RowOps(1 << i) for i in range(r)]
+        RowOps.count = 0
+        assert back_substitute_by_row_test(echelon(rows)) == rows[::-1]
+        assert RowOps.count == r * (r - 1) // 2
+        RowOps.count = 0
+        assert _reduce_bits(rows, r) == rows[::-1]
+        assert RowOps.count <= r
 
 
 class TestCodeRows:
