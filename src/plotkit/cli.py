@@ -19,7 +19,6 @@ import warnings
 from pathlib import Path
 
 from .codefile import (
-    ParseError,
     _pack,
     format_basis_file,
     format_code_file,
@@ -453,7 +452,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     try:
         enumeration_cap()  # a malformed cap is refused by every command
         return args.func(args)
-    except (ParseError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

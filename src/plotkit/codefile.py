@@ -13,11 +13,10 @@ big-endian form, which are bulk int and bytes operations over all lines.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from typing import Sequence
 
-from .core import Code, _check_length, _little_endian, _word_bytes
+from .core import Code, _check_length, _from_little_endian, _little_endian, _word_bytes
 from .gf2 import Gf2Basis, _reduce_bits, _span_code
 
 # _DIGITS[b] maps a byte to the character of its bit b, counted from the top:
@@ -42,7 +41,7 @@ def _unpack(body: bytes, n: int) -> Sequence[int]:
     to the low bit of each character ('0' is 0x30, '1' is 0x31), it gives
     bit k of every word at once; eight columns OR into one byte plane.
     The planes fill little-endian words of `_word_bytes(n)` bytes, which
-    are read in one `struct.unpack` for n <= 64, and one at a time above.
+    `core._from_little_endian` reads.
     """
     stride, size = n + 1, _word_bytes(n)
     m = len(body) // stride
@@ -55,10 +54,7 @@ def _unpack(body: bytes, n: int) -> Sequence[int]:
             plane |= (column & ones) << (first + 7 - k)
         if plane:
             raw[size - 1 - p :: size] = plane.to_bytes(m, "big")
-    if size == 8:
-        return struct.unpack(f"<{m}Q", raw)
-    view, starts = memoryview(raw), range(0, len(raw), size)
-    return [int.from_bytes(view[i : i + size], "little") for i in starts]
+    return _from_little_endian(n, raw)
 
 
 def _pack(n: int, words: Sequence[int]) -> str:
@@ -149,24 +145,19 @@ def _parse_rows(text: str) -> tuple[int, Sequence[int]]:
     """Word length and the bit pattern of each codeword line, in file order.
 
     A canonical file goes to `_unpack` as it is. Any other is normalized:
-    its lines are split, stripped and filtered, then checked with one
-    character check and one length check over all rows, and joined into
-    the canonical layout. The file is walked line by line only when a
-    check fails, to name the first bad line.
+    its lines are split, stripped and filtered, and joined into the
+    canonical layout, which `_canonical_body` checks as it checks a
+    canonical file. The file is walked line by line only when that check
+    fails, to name the first bad line.
     """
     canonical = _canonical_body(text)
     if canonical is None:
         rows = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
         if not rows:
             raise ParseError("no codeword lines found")
-        lengths = set(map(len, rows))
-        # _unpack reads only the low bit of each byte, so every character
-        # must pass this byte filter first: a non-ASCII one, a lone
-        # surrogate too, is encoded as "?".
-        body = ("\n".join(rows) + "\n").encode("ascii", "replace")
-        if body.translate(None, b"01\n") or len(lengths) > 1:
+        canonical = _canonical_body("\n".join(rows))
+        if canonical is None:
             _walk(text)  # raises: it names the first bad line
-        canonical = lengths.pop(), body
     n, body = canonical
     _check_length(n)
     return n, _unpack(body, n)

@@ -11,6 +11,8 @@ from typing import Iterable, Iterator, Sequence
 
 # Guard against accidental huge allocations; rebind if you really need more.
 MAX_LENGTH = 4096
+# The `struct` code of each packed word width up to 64 bits (`_word_bytes`).
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _check_length(n: int) -> None:
@@ -19,9 +21,9 @@ def _check_length(n: int) -> None:
 
 
 def _word_bytes(n: int) -> int:
-    """Bytes per word in `_little_endian`: one 64-bit limb, which `struct`
-    converts in bulk, up to n = 64; the fewest whole bytes above that."""
-    return 8 if n <= 64 else (n + 7) // 8
+    """Bytes per word in `_little_endian`: the fewest of 1, 2, 4 or 8 up to
+    n = 64, which `struct` converts in bulk; the fewest whole bytes above."""
+    return (n + 7) // 8 if n > 64 else 1 << ((n - 1) // 8).bit_length()
 
 
 def _little_endian(n: int, words: Sequence[int]) -> bytes:
@@ -33,9 +35,19 @@ def _little_endian(n: int, words: Sequence[int]) -> bytes:
     second, so callers check the range first.
     """
     size = _word_bytes(n)
-    if size == 8:
-        return struct.pack(f"<{len(words)}Q", *words)
+    if n <= 64:
+        return struct.pack(f"<{len(words)}{_STRUCT_CODES[size]}", *words)
     return b"".join([w.to_bytes(size, "little") for w in words])
+
+
+def _from_little_endian(n: int, raw: bytes | bytearray) -> Sequence[int]:
+    """The inverse of `_little_endian`: a tuple from one `struct.unpack` up
+    to n = 64, and a list of one `int.from_bytes` per word above."""
+    size = _word_bytes(n)
+    if n <= 64:
+        return struct.unpack(f"<{len(raw) // size}{_STRUCT_CODES[size]}", raw)
+    view, starts = memoryview(raw), range(0, len(raw), size)
+    return [int.from_bytes(view[i : i + size], "little") for i in starts]
 
 
 def _ascending(patterns: Sequence[int]) -> bool:
@@ -127,11 +139,12 @@ class Code:
     the `words` tuple, which is built on each call: all are deterministic,
     in ascending bit patterns, i.e. lexicographic in the printed form.
 
-    Membership has two routes. `_has` bisects the sorted tuple. `_members`
-    returns the frozenset of the patterns, and is the one place that
-    builds it: at most once, on first need, kept in `_bits`. The kernel
-    scan bisects until its probes reach |C|/16, about what building the
-    set costs, and only then builds it (see `invariants._kernel_scan`).
+    Membership has two routes. `_has` bisects the sorted tuple, and so does
+    `word in code`. `_members` returns the frozenset of the patterns, and is
+    the one place that builds it: at most once, on first need, kept in
+    `_bits`. The kernel scan bisects until its probes reach |C|/16, about
+    what building the set costs, and only then builds it (see
+    `invariants._kernel_scan`).
 
     Each constructor has one contract, and none builds the member set:
     - `Code(words)`, the public one, takes words in any order, which may
@@ -230,7 +243,7 @@ class Code:
         return iter(self.words)
 
     def __contains__(self, w: Word) -> bool:
-        return w.length == self.n and w.bits in self._members()
+        return w.length == self.n and self._has(w.bits)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Code):

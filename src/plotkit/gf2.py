@@ -89,19 +89,18 @@ _BULK_MAX_N = 128
 def _eliminate(batch: list[int], n: int, pivots: dict[int, int]) -> None:
     """Reduce a batch of packed length-n rows into `pivots`, all rows at once.
 
-    Row i sits in byte-aligned slot i of one int b, wb = ceil(n/8) bytes
-    wide, and `ones` holds a 1 at the low bit of every slot, so
+    Row i sits in byte-aligned slot i of one int b, `core._word_bytes(n)`
+    bytes wide, and `ones` holds a 1 at the low bit of every slot, so
     sel = (b >> p) & ones marks the rows with bit p. With row < 2^n, the
     step b ^= sel * row adds row to every marked row at once: the slots
     are at least n bits apart, so the partial products of sel * row never
     overlap and no carry crosses a slot. Each step clears bit p from every
     marked row, as row's top bit is p, and leaves the bits above p alone.
 
-    The batch's bytes come from `core._little_endian`: one `struct.pack`
-    into 8-byte slots up to n = 64, which wb strided byte copies narrow to
-    wb bytes when n <= 56, and one `int.to_bytes` per row above n = 64.
-    The range check comes first, so a row too long for its slot raises
-    ValueError here and never a packing error.
+    The batch's bytes come from `core._little_endian` as they are: one
+    `struct.pack` into slots of 1, 2, 4 or 8 bytes up to n = 64, and one
+    `int.to_bytes` per row above. The range check comes first, so a row
+    too long for its slot raises ValueError here and never a packing error.
 
     - The known pivot columns are cleared from high to low, one step each,
       which leaves b zero when every row is in their span: about r steps
@@ -113,16 +112,10 @@ def _eliminate(batch: list[int], n: int, pivots: dict[int, int]) -> None:
     """
     if max(batch) >> n or max(pivots, default=0) >= n:
         raise ValueError(f"a row is longer than {n} bits")
-    wb, size = (n + 7) // 8, _word_bytes(n)
-    mask, slot = (1 << n) - 1, 8 * wb
-    raw = _little_endian(n, batch)
-    if size > wb:
-        narrow = bytearray(wb * len(batch))
-        for i in range(wb):
-            narrow[i::wb] = raw[i::size]
-        raw = narrow
-    b = int.from_bytes(raw, "little")
-    ones = int.from_bytes((b"\x01" + bytes(wb - 1)) * len(batch), "little")
+    size = _word_bytes(n)
+    mask, slot = (1 << n) - 1, 8 * size
+    b = int.from_bytes(_little_endian(n, batch), "little")
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * len(batch), "little")
     for p in sorted(pivots, reverse=True):
         if sel := (b >> p) & ones:
             b ^= sel * pivots[p]

@@ -32,8 +32,8 @@ def kernel_bruteforce(code: Code) -> Code:
             f"brute-force kernel scans 2^n translations; n={code.n} is over "
             f"the cap of {BRUTE_KERNEL_MAX_N}"
         )
-    members = code._members()
     patterns = code.bit_patterns
+    members = set(patterns)
     kept = []
     for x in range(1 << code.n):
         if all((c ^ x) in members for c in patterns):

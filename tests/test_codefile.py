@@ -99,6 +99,15 @@ class TestOnePassReading:
             parse_code_file("1\n1\n")
         assert record[0].filename == __file__
 
+    @pytest.mark.parametrize(
+        "text", ["# c\r\n01\r\n10\r\n", "# c\n\n01\n\n10\n"], ids=["crlf", "blank-lines"]
+    )
+    def test_a_normalized_file_is_checked_as_a_written_one(self, text, record):
+        checks, walks = record(codefile, "_canonical_body"), record(codefile, "_walk")
+        assert parse_code_file(text) == code("01", "10")
+        assert [call.result for call in checks] == [None, (2, b"01\n10\n")]
+        assert walks == []
+
     def test_a_generator_file_with_repeated_rows_warns_nothing(self):
         parsed, messages = parse_recording(parse_gen_file, "110\n011\n110\n011\n")
         assert parsed == code("000", "011", "101", "110")
@@ -217,8 +226,9 @@ BAD_ROWS = ["0_1", "+01", "0b01", "1\u0661", "\u06610", "0 1", "0\ud800", "0x"]
 LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\u2028"]
 
 
-# Word lengths on both sides of a byte and of a 64-bit limb.
-WIDTHS = [1, 7, 8, 9, 63, 64, 65, 128, 129]
+# Word lengths on both sides of each packed width: 1, 2, 4 and 8 bytes,
+# then whole bytes past 64 bits.
+WIDTHS = [1, 7, 8, 9, 16, 17, 24, 25, 32, 33, 56, 57, 63, 64, 65, 128, 129]
 
 
 @st.composite

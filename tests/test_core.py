@@ -9,6 +9,9 @@ from plotkit.core import (
     MAX_LENGTH,
     Code,
     Word,
+    _from_little_endian,
+    _little_endian,
+    _word_bytes,
     concat,
     hamming_distance,
     translate,
@@ -196,6 +199,25 @@ class TestCode:
         assert a != b
 
 
+class TestPackedLayout:
+    def test_a_word_takes_the_least_struct_width_that_holds_it(self):
+        for n in range(1, 65):
+            size = _word_bytes(n)
+            assert size in {1, 2, 4, 8} and 8 * size >= n
+            assert size == 1 or 4 * size < n
+        # past 64 bits, the fewest whole bytes
+        assert [_word_bytes(n) for n in (65, 72, 73, 4096)] == [9, 9, 10, 512]
+
+    @given(st.integers(1, 130).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1)))
+    ))
+    def test_unpacking_inverts_packing(self, case):
+        n, words = case
+        raw = _little_endian(n, words)
+        assert len(raw) == _word_bytes(n) * len(words)
+        assert list(_from_little_endian(n, raw)) == words
+
+
 class TestLazyMembers:
     """A code of distinct words keeps its sorted tuple and builds no set until asked."""
 
@@ -213,7 +235,7 @@ class TestLazyMembers:
             assert lazy._has(x) == (x in eager._members())
         assert lazy._bits is None
         assert all((Word(n, x) in lazy) == (Word(n, x) in eager) for x in range(1 << n))
-        assert lazy._bits == eager._bits
+        assert lazy._bits is None
 
     @given(
         st.integers(1, 10).flatmap(

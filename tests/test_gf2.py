@@ -325,21 +325,21 @@ class TestCodeRows:
     @settings(deadline=None)
     @given(st.one_of(
         coset_unions().map(lambda drawn: drawn[0]),
-        rank_deficient_rows(lengths=(56, 57, 64, 65)).map(
-            lambda case: Code._from_bits(*case)
-        ),
+        rank_deficient_rows(
+            lengths=(8, 9, 16, 17, 24, 25, 32, 33, 40, 56, 57, 64, 65)
+        ).map(lambda case: Code._from_bits(*case)),
     ))
     def test_matches_row_scan(self, code):
-        # Up to n = 56 the struct slots are narrowed, up to 64 they stay
-        # 8 bytes wide, and above 64 each word is packed on its own.
+        # Up to n = 64 struct packs slots of 1, 2, 4 or 8 bytes, and above
+        # 64 each word is packed on its own.
         rows = list(code.bit_patterns)
         assert list(_code_rows(code)) == reduce_bits_by_row_scan(rows)
 
-    @pytest.mark.parametrize("n", [56, 57, 64, 65])
+    @pytest.mark.parametrize("n", [17, 32, 33, 56, 57, 64, 65])
     def test_each_slot_width_reaches_a_batch(self, n, record):
         # The span of 12 random words and one more word, 4,097 words of
-        # rank 13 < n, at the last narrowed slot width, the first full
-        # 8-byte one, the last 8-byte one and the first packed per word.
+        # rank 13 < n: at the first 4-byte slot width, on both sides of
+        # the 8-byte one, inside it, and on both sides of packing per word.
         batches = record(gf2, "_eliminate")
         rows = [w.bits for w in random_words(n, count=13, n=n)]
         code = Code._from_bits(n, [*_span(rows[:12]), rows[12]])
